@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; `make test` is the tier-1 gate.
 
-.PHONY: all check test test-fast bench bench-modarith bench-obs bench-setup bench-serve bench-scale bench-telemetry bench-trajectory faults frontier serve-smoke clean
+.PHONY: all check test test-fast perfbench bench bench-modarith bench-obs bench-setup bench-serve bench-scale bench-telemetry bench-trajectory faults frontier serve-smoke clean
 
 all:
 	dune build
@@ -33,6 +33,19 @@ check:
 # Same suite with Monte Carlo trial budgets cut down via IDS_TRIALS_SCALE.
 test-fast:
 	dune build @runtest-fast
+
+# The repository benchmark (BENCHMARK.json, perfbench/): a 5 s untraced
+# run of each workload at seed 1, printing each result object. Fails if a
+# run prints no result or any result reports "correct": false.
+PERFBENCH_WORKLOADS = apihash_scale trials_sym_dam serve_mix
+
+perfbench:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+	  line=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 5 --trace 0 | tail -n 1); \
+	  echo "$$w $$line"; \
+	  echo "$$line" | python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.stdin.read()).get("correct") is True else 1)' \
+	    || { echo "perfbench: $$w did not pass its output checks" >&2; exit 1; }; \
+	done
 
 # Regenerate the EXPERIMENTS.md tables (plus the JSON run log ids_runs.jsonl).
 # IDS_DOMAINS / IDS_TRIALS_SCALE / IDS_RUNLOG tune workers, budgets, log path.

@@ -67,3 +67,32 @@ let permuted_graph_hash_pow f ~powers g rho =
            (Perm.apply_set rho (Graph.closed_neighborhood g v)))
   done;
   !acc
+
+(* Split power tables: a^e = big.(e lsr s) * small.(e land mask) with about
+   2 sqrt(m) entries instead of the m + 1 of [powers]; the smallest s with
+   2^(2s) > m makes [small] (2^s entries) at least as long as [big]. *)
+type 'a split = { shift : int; small : 'a array; big : 'a array }
+
+let split_powers f a m =
+  if m < 0 then invalid_arg "Linear.split_powers: negative bound";
+  let s = ref 0 in
+  while 1 lsl (2 * !s) <= m do
+    incr s
+  done;
+  let small = powers f a ((1 lsl !s) - 1) in
+  let step = f.Field.mul small.(Array.length small - 1) a in
+  { shift = !s; small; big = powers f step (m lsr !s) }
+
+let split_pow f t e = f.Field.mul t.big.(e lsr t.shift) t.small.(e land ((1 lsl t.shift) - 1))
+
+type 'a row_table = { n : int; cols : 'a split; rows : 'a split }
+
+let row_table f a ~n =
+  if n < 1 then invalid_arg "Linear.row_table: need n >= 1";
+  let cols = split_powers f a n in
+  { n; cols; rows = split_powers f (split_pow f cols n) (n - 1) }
+
+let row_hash_table f t ~row s =
+  if row < 0 || row >= t.n then invalid_arg "Linear.row_hash_table: row out of range";
+  let poly = Bitset.fold (fun w acc -> f.Field.add acc (split_pow f t.cols (w + 1))) s f.Field.zero in
+  f.Field.mul (split_pow f t.rows row) poly

@@ -64,3 +64,39 @@ val graph_hash_pow : 'a Field.t -> powers:'a array -> Ids_graph.Graph.t -> 'a
 
 val permuted_graph_hash_pow :
   'a Field.t -> powers:'a array -> Ids_graph.Graph.t -> Ids_graph.Perm.t -> 'a
+
+(** {1 Split power tables}
+
+    The distributed scale path evaluates {!row_hash} at every node of an
+    n-node graph for a handful of fixed points. A full {!powers} table per
+    point costs O(n) words (O(n²) for the [a^(row·n)] shifts); a split
+    table answers any [a^e] with [e <= m] from about [2 sqrt m] entries and
+    one multiplication. *)
+
+type 'a split
+(** Powers [a^0 .. a^m] of one point, stored as [small.(j) = a^j] for
+    [j < 2^s] and [big.(i) = (a^(2^s))^i] for [i <= m lsr s], with the
+    smallest [s] such that [2^(2s) > m]. *)
+
+val split_powers : 'a Field.t -> 'a -> int -> 'a split
+(** [split_powers f a m] tabulates [a^e] for [0 <= e <= m].
+    @raise Invalid_argument if [m < 0]. *)
+
+val split_pow : 'a Field.t -> 'a split -> int -> 'a
+(** [split_pow f t e] is [a^e] (one multiplication); [e] must lie in the
+    table's range [\[0, m\]]. Results are canonical field elements, equal
+    to [f.pow_int a e] for a canonical [a]. *)
+
+type 'a row_table
+(** The two split tables a row hash needs at one point [a] for [n x n]
+    matrices: [a^e] for column exponents [e <= n], and [(a^n)^row] for the
+    row shifts [row <= n - 1]. *)
+
+val row_table : 'a Field.t -> 'a -> n:int -> 'a row_table
+(** @raise Invalid_argument if [n < 1]. *)
+
+val row_hash_table : 'a Field.t -> 'a row_table -> row:int -> Ids_graph.Bitset.t -> 'a
+(** {!row_hash} evaluated from a {!row_table}: [1 + |s|] multiplications
+    beyond the lookups, bit-identical to [row_hash f a ~n ~row s] for a
+    canonical [a] and every [s] within [\[0, n)].
+    @raise Invalid_argument if [row] is out of [\[0, n)]. *)

@@ -5,6 +5,7 @@ module Fault = Ids_network.Fault
 module Bits = Ids_network.Bits
 module Field = Ids_hash.Field
 module Api = Ids_hash.Api
+module Linear = Ids_hash.Linear
 module Rng = Ids_bignum.Rng
 
 type params = { q : int; field : int Field.t; copies : int }
@@ -80,21 +81,49 @@ type advice = {
   claim : int;
 }
 
+(* One split-table pair per inner point (Linear.row_table): a node's k row
+   terms then cost O(degree) multiplications, not O(degree log n). *)
+let row_tables f (spec : int Api.spec) ~n = Array.map (fun a -> Linear.row_table f a ~n) spec.Api.points
+
 let honest_advice params (spec : int Api.spec) ~root g =
   let n = Graph.n g in
   let f = params.field and k = params.copies in
   let tree = Spanning_tree.bfs g root in
-  let term v = Api.row_term f spec ~n ~row:v (Graph.closed_neighborhood g v) in
-  (* One scalar aggregation per inner copy; each [term] call touches one
-     node's O(degree) view and is released before the next. *)
-  let per_copy = Array.init k (fun i -> Aggregation.honest_sums f tree ~term:(fun v -> (term v).(i))) in
-  let agg = Array.init (n * k) (fun j -> per_copy.(j mod k).(j / k)) in
-  { root;
-    parent = tree.Spanning_tree.parent;
-    dist = tree.Spanning_tree.dist;
-    agg;
-    claim = Api.finalize f spec (Array.init k (fun i -> per_copy.(i).(root)))
-  }
+  let parent = tree.Spanning_tree.parent and dist = tree.Spanning_tree.dist in
+  (* One pass writes every node's k terms into its agg slots; each closed
+     neighbourhood is released before the next. *)
+  let tables = row_tables f spec ~n in
+  let agg = Array.make (n * k) f.Field.zero in
+  for v = 0 to n - 1 do
+    let s = Graph.closed_neighborhood g v in
+    Array.iteri (fun i t -> agg.((v * k) + i) <- Linear.row_hash_table f t ~row:v s) tables
+  done;
+  (* Leaves-first: counting-sort the nodes by BFS distance, then add each
+     node's k-vector into its parent's, deepest level first, so a node is
+     complete before it is folded upward. Field addition is exact, so the
+     sums equal the subtree totals in any order. *)
+  let depth = Array.fold_left max 0 dist in
+  let next = Array.make (depth + 2) 0 in
+  Array.iter (fun d -> next.(d + 1) <- next.(d + 1) + 1) dist;
+  for d = 1 to depth + 1 do
+    next.(d) <- next.(d) + next.(d - 1)
+  done;
+  let order = Array.make n 0 in
+  Array.iteri
+    (fun v d ->
+      order.(next.(d)) <- v;
+      next.(d) <- next.(d) + 1)
+    dist;
+  for j = n - 1 downto 0 do
+    let v = order.(j) in
+    if v <> root then begin
+      let p = parent.(v) * k and c = v * k in
+      for i = 0 to k - 1 do
+        agg.(p + i) <- f.Field.add agg.(p + i) agg.(c + i)
+      done
+    end
+  done;
+  { root; parent; dist; agg; claim = Api.finalize f spec (Array.sub agg (root * k) k) }
 
 type prover = params -> int Api.spec -> root:int -> Graph.t -> advice
 
@@ -122,12 +151,41 @@ let response_bits_per_node f ~k n =
      unicast: Θ(k log n) per node — the §4 budget. *)
   Api.spec_bits f ~k + f.Field.bits + Bits.id n + (2 * Bits.id n) + (k * f.Field.bits)
 
+(* Slot [j] of a prover array, or -1 past its end: a short array from a
+   cheating prover delivers poisoned values that every range check rejects. *)
+let slot a j = if j < Array.length a then a.(j) else -1
+
+(* Run one Merlin round, keeping only the nodes whose delivered copy is not
+   the one sent. Only corruption and equivocation leave entries: a drop
+   without a default delivers the sent value and marks the node missed,
+   which decide rejects on its own. *)
+let changed ~same round =
+  let tbl = Hashtbl.create 8 in
+  round (fun () (view : _ Network.node_view) ->
+      if not (same view.Network.node view.Network.value) then
+        Hashtbl.replace tbl view.Network.node view.Network.value);
+  tbl
+
+(* Node [v]'s copy of a broadcast value. *)
+let copy tbl sent v =
+  if Hashtbl.length tbl = 0 then sent else Option.value (Hashtbl.find_opt tbl v) ~default:sent
+
+(* The delivered copies of a per-node array: the sent array itself when no
+   copy changed and none is missing, else a patched copy of length [len]. *)
+let delivered ~len sent tbl patch =
+  if Hashtbl.length tbl = 0 && Array.length sent >= len then sent
+  else begin
+    let out = Array.init len (slot sent) in
+    Hashtbl.iter (patch out) tbl;
+    out
+  end
+
 (* One execution, every round streamed: the Arthur round folds per-node
-   spec draws keeping only the root's, the Merlin rounds deliver into flat
-   arrays (one machine word or k ints per node), and verification runs
-   inside Network.decide — each node's row term is recomputed from its
-   shared O(degree) graph row on demand, so no per-node view outlives its
-   visit. *)
+   spec draws keeping only the root's, each Merlin round keeps the value
+   sent plus the few copies the fault layer changed, and verification runs
+   inside Network.decide — each node's row term comes from the spec's split
+   tables (built once per distinct spec) over its shared O(degree) graph
+   row, so no per-node view outlives its visit. *)
 let run_body ?fault ?(prover = honest) ?k ~seed ~root g =
   let n = Graph.n g in
   if root < 0 || root >= n then invalid_arg "Apihash.run: root out of range";
@@ -143,32 +201,31 @@ let run_body ?fault ?(prover = honest) ?k ~seed ~root g =
   in
   let root_spec = Option.get root_spec in
   let a = prover params root_spec ~root g in
-  (* Merlin broadcasts. Delivered copies land in one pointer/int slot per
-     node; unfaulted runs share a single spec record across all n slots. *)
   let field_corrupt = Fault.flip_int_bit ~bits:f.Field.bits in
   let spec_corrupt rng (s : int Api.spec) = { s with Api.shift = field_corrupt rng s.Api.shift } in
   let id_corrupt = Fault.flip_int_bit ~bits:(Bits.id n) in
-  let spec_bc = Array.make n root_spec in
-  Network.broadcast_fold net ~corrupt:spec_corrupt ~bits:spec_bits root_spec ~init:()
-    (fun () v -> spec_bc.(v.Network.node) <- v.Network.value);
-  let claim_bc = Array.make n 0 in
-  Network.broadcast_fold net ~corrupt:field_corrupt ~bits:f.Field.bits a.claim ~init:()
-    (fun () v -> claim_bc.(v.Network.node) <- v.Network.value);
-  let root_bc = Array.make n 0 in
-  Network.broadcast_fold net ~corrupt:id_corrupt ~bits:(Bits.id n) a.root ~init:()
-    (fun () v -> root_bc.(v.Network.node) <- v.Network.value);
+  (* Merlin broadcasts: one value sent to all n nodes. *)
+  let spec_tbl =
+    changed ~same:(fun _ s -> s == root_spec)
+      (Network.broadcast_fold net ~corrupt:spec_corrupt ~bits:spec_bits root_spec ~init:())
+  in
+  let claim_tbl =
+    changed ~same:(fun _ x -> x = a.claim)
+      (Network.broadcast_fold net ~corrupt:field_corrupt ~bits:f.Field.bits a.claim ~init:())
+  in
+  let root_tbl =
+    changed ~same:(fun _ x -> x = a.root)
+      (Network.broadcast_fold net ~corrupt:id_corrupt ~bits:(Bits.id n) a.root ~init:())
+  in
   (* Merlin unicasts: tree labels and the k-vector of subtree aggregates,
      produced per node on demand. *)
-  let parent_bc = Array.make n 0 in
-  Network.unicast_fold net ~corrupt:id_corrupt ~bits:(Bits.id n)
-    ~respond:(fun v -> a.parent.(v))
-    ~init:()
-    (fun () v -> parent_bc.(v.Network.node) <- v.Network.value);
-  let dist_bc = Array.make n 0 in
-  Network.unicast_fold net ~corrupt:id_corrupt ~bits:(Bits.id n)
-    ~respond:(fun v -> a.dist.(v))
-    ~init:()
-    (fun () v -> dist_bc.(v.Network.node) <- v.Network.value);
+  let label arr =
+    changed
+      ~same:(fun v x -> x = slot arr v)
+      (Network.unicast_fold net ~corrupt:id_corrupt ~bits:(Bits.id n) ~respond:(slot arr) ~init:())
+  in
+  let parent_tbl = label a.parent in
+  let dist_tbl = label a.dist in
   let agg_corrupt rng row =
     if Array.length row = 0 then row
     else begin
@@ -178,33 +235,60 @@ let run_body ?fault ?(prover = honest) ?k ~seed ~root g =
       row
     end
   in
-  let agg_bc = Array.make (n * k) 0 in
-  Network.unicast_fold net ~corrupt:agg_corrupt ~bits:(k * f.Field.bits)
-    ~respond:(fun v -> Array.init k (fun i -> a.agg.((v * k) + i)))
-    ~init:()
-    (fun () view ->
-      let row = view.Network.value in
-      if Array.length row = k then
-        Array.blit row 0 agg_bc (view.Network.node * k) k
-      else
-        (* A cheating prover shipped the wrong arity; poison the slot so the
-           range check below rejects deterministically. *)
-        Array.fill agg_bc (view.Network.node * k) k (-1));
+  let agg_row v = Array.init k (fun i -> slot a.agg ((v * k) + i)) in
+  let agg_tbl =
+    changed
+      ~same:(fun v row ->
+        let rec eq i = i = k || (row.(i) = slot a.agg ((v * k) + i) && eq (i + 1)) in
+        Array.length row = k && eq 0)
+      (Network.unicast_fold net ~corrupt:agg_corrupt ~bits:(k * f.Field.bits) ~respond:agg_row ~init:())
+  in
+  let set out v x = out.(v) <- x in
+  let parent = delivered ~len:n a.parent parent_tbl set in
+  let dist = delivered ~len:n a.dist dist_tbl set in
+  let agg =
+    delivered ~len:(n * k) a.agg agg_tbl (fun out v row ->
+        if Array.length row = k then Array.blit row 0 out (v * k) k
+        else
+          (* A cheating prover shipped the wrong arity; poison the slot so
+             the range check below rejects deterministically. *)
+          Array.fill out (v * k) k (-1))
+  in
+  let spec_of = copy spec_tbl root_spec
+  and claim_of = copy claim_tbl a.claim
+  and root_of = copy root_tbl a.root in
+  (* Verifier-side split tables, built once per distinct (range-checked)
+     spec; the honest run shares one points array across all nodes. *)
+  let tables_for =
+    let memo = Hashtbl.create 2 and last = ref None in
+    fun (spec : int Api.spec) ->
+      match !last with
+      | Some (points, t) when points == spec.Api.points -> t
+      | _ ->
+        let t =
+          match Hashtbl.find_opt memo spec.Api.points with
+          | Some t -> t
+          | None ->
+            let t = row_tables f spec ~n in
+            Hashtbl.add memo spec.Api.points t;
+            t
+        in
+        last := Some (spec.Api.points, t);
+        t
+  in
   (* Local verification, one node at a time inside decide. *)
   let field_ok x = Aggregation.in_range params.q x in
   let spec_eq (x : int Api.spec) (y : int Api.spec) = x == y || x = y in
   let check v =
+    let spec = spec_of v and claim = claim_of v and rt = root_of v in
     let nbrs_consistent =
       Ids_graph.Bitset.fold
         (fun u acc ->
           acc
           && (Network.crashed net u
-             || (spec_eq spec_bc.(u) spec_bc.(v)
-                && claim_bc.(u) = claim_bc.(v)
-                && root_bc.(u) = root_bc.(v))))
+             || (spec_eq (spec_of u) spec && claim_of u = claim && root_of u = rt)))
         (Graph.neighbors g v) true
     in
-    let spec = spec_bc.(v) and claim = claim_bc.(v) and rt = root_bc.(v) in
     nbrs_consistent
     && Aggregation.in_range n rt
     && field_ok claim
@@ -212,29 +296,33 @@ let run_body ?fault ?(prover = honest) ?k ~seed ~root g =
     && Array.for_all field_ok spec.Api.points
     && Array.for_all field_ok spec.Api.coeffs
     && field_ok spec.Api.shift
-    && Aggregation.tree_check g ~root:rt ~parent:parent_bc ~dist:dist_bc v
+    && Aggregation.tree_check g ~root:rt ~parent ~dist v
     &&
     let ok = ref true in
     for i = 0 to k - 1 do
-      if not (field_ok agg_bc.((v * k) + i)) then ok := false
+      if not (field_ok agg.((v * k) + i)) then ok := false
     done;
     !ok
     &&
     (* Own term from the shared O(degree) row, then the Lemma 3.3 subtree
        equation per inner copy. *)
-    let term = Api.row_term f spec ~n ~row:v (Graph.closed_neighborhood g v) in
-    let children = Aggregation.children g ~parent:parent_bc v in
+    let tables = tables_for spec in
+    let s = Graph.closed_neighborhood g v in
+    let children = Aggregation.children g ~parent v in
     let copy_ok i =
       let expected =
-        List.fold_left (fun acc u -> f.Field.add acc agg_bc.((u * k) + i)) term.(i) children
+        List.fold_left
+          (fun acc u -> f.Field.add acc agg.((u * k) + i))
+          (Linear.row_hash_table f tables.(i) ~row:v s)
+          children
       in
-      agg_bc.((v * k) + i) = expected
+      agg.((v * k) + i) = expected
     in
     let rec all_copies i = i >= k || (copy_ok i && all_copies (i + 1)) in
     all_copies 0
     &&
     if v = rt then
-      f.Field.equal (Api.finalize f spec (Array.init k (fun i -> agg_bc.((v * k) + i)))) claim
+      f.Field.equal (Api.finalize f spec (Array.sub agg (v * k) k)) claim
       && v = root && spec_eq spec root_spec
     else true
   in

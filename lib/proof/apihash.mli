@@ -11,19 +11,23 @@
     aggregate breaks an equation at some node.
 
     Every round runs over {!Ids_network.Network}'s streamed views, so the
-    protocol completes at n = 10⁶ with O(n) machine words of delivered
-    state and O(max degree) transient state per node — this is the scale
-    exemplar benchmarked by [bench/scale]. *)
+    protocol completes at n = 10⁶ with O(max degree) transient state per
+    node. Row terms come from split power tables of about [2 sqrt n]
+    entries per point ({!Ids_hash.Linear.row_table}), and delivered copies
+    are stored only where the fault layer changed them, so an unfaulted
+    run holds the advice and no per-node copies — this is the scale
+    exemplar benchmarked by [bench/scale] and [perfbench]. *)
 
 type params = { q : int; field : int Ids_hash.Field.t; copies : int }
 
 val params_for : ?k:int -> seed:int -> Ids_graph.Graph.t -> params
 (** Modulus and copy count for a graph: a seeded random prime in
     [\[4 m^(3/2), 8 m^(3/2)\]] for [m = n² + n] — the least growth rate
-    with [eps < 1] at [k = 3] — when that fits the native-int field, else
-    a fixed prime just below [2^30] (the scale path measures completeness
-    and throughput, which hold for every [q]; see the DESIGN.md
-    discussion). [k] defaults to {!Ids_hash.Api.default_copies}.
+    with [eps < 1] at [k = 3] — for every [m <= 2^40], else the largest
+    prime below [2^62] (completeness holds for every [q]; see the
+    DESIGN.md discussion). The field is {!Ids_hash.Field.int_field} below
+    [2^31] and {!Ids_hash.Field.int62_field} above. [k] defaults to
+    {!Ids_hash.Api.default_copies}.
     @raise Invalid_argument if [k < 1]. *)
 
 val epsilon : params -> n:int -> float
@@ -41,6 +45,10 @@ type advice = {
 }
 
 val honest_advice : params -> int Ids_hash.Api.spec -> root:int -> Ids_graph.Graph.t -> advice
+(** The honest message for a BFS tree rooted at [root]: one pass writes
+    every node's [k] row terms into [agg], then a leaves-first pass adds
+    each node's vector into its parent's.
+    @raise Invalid_argument if the graph is disconnected. *)
 
 type prover = params -> int Ids_hash.Api.spec -> root:int -> Ids_graph.Graph.t -> advice
 

@@ -38,6 +38,11 @@ let test_int62_field_ops () =
   Alcotest.(check int) "add wraps" (p62 - 2) (f62.Field.add (p62 - 1) (p62 - 1));
   Alcotest.(check int) "sub wraps" (p62 - 1) (f62.Field.sub 0 1);
   Alcotest.(check int) "of_int negative" (p62 - 3) (f62.Field.of_int (-3));
+  (* Reduction must not form a + p, which overflows max_int for p > 2^61. *)
+  Alcotest.(check int) "of_int p - 1" (p62 - 1) (f62.Field.of_int (p62 - 1));
+  Alcotest.(check int) "of_int max_int" (max_int - p62) (f62.Field.of_int max_int);
+  Alcotest.(check int) "pow_int near p" (p62 - 1) (f62.Field.pow_int (p62 - 1) 1);
+  Alcotest.(check int) "(p-1)^3 = p-1" (p62 - 1) (f62.Field.pow_int (p62 - 1) 3);
   Alcotest.(check int) "2^62 mod (2^62-57)" 57 (f62.Field.pow_int 2 62);
   (* Fermat: a^(p-1) = 1 via pow_int's square-and-multiply over 62 bits.
      p - 1 fits the native exponent argument exactly. *)
@@ -154,6 +159,42 @@ let test_powers_consistency () =
       (Linear.permuted_graph_hash f_int a g rho)
       (Linear.permuted_graph_hash_pow f_int ~powers g rho)
   done
+
+(* Split power tables against the pow_int reference: random canonical
+   points plus the edge points 0 and 1, sizes around powers of two (where
+   the table split point moves), the first and last rows, and a row that
+   always holds column n - 1 (the largest exponent, n). A small prime
+   makes powers wrap well inside the tables. *)
+let prop_row_hash_table =
+  let sizes = [ 1; 2; 3; 5 ] @ List.concat_map (fun j -> [ (1 lsl j) - 1; 1 lsl j; (1 lsl j) + 1 ]) [ 2; 3; 6; 10 ] in
+  let fields = [ ("int 101", Field.int_field 101); ("int", Field.int_field 2147483647); ("int62", f62) ] in
+  let gen =
+    QCheck.Gen.(
+      let* fi = int_bound (List.length fields - 1) in
+      let* n = oneofl sizes in
+      let* pick = int_bound 3 in
+      let* seed = int in
+      let* last_row = bool in
+      let* extra = list_size (int_bound 6) (int_bound (n - 1)) in
+      return (fi, n, pick, seed, last_row, extra))
+  in
+  let print (fi, n, pick, seed, last_row, extra) =
+    Printf.sprintf "%s n=%d pick=%d seed=%d last_row=%b extra=[%s]" (fst (List.nth fields fi)) n pick seed
+      last_row
+      (String.concat ";" (List.map string_of_int extra))
+  in
+  QCheck.Test.make ~name:"row_hash_table = row_hash (int and int62)" ~count:300 (QCheck.make ~print gen)
+    (fun (fi, n, pick, seed, last_row, extra) ->
+      let _, f = List.nth fields fi in
+      let a = match pick with 0 -> f.Field.zero | 1 -> f.Field.one | _ -> f.Field.random (Rng.create seed) in
+      let t = Linear.row_table f a ~n in
+      let row = if last_row then n - 1 else 0 in
+      List.for_all
+        (fun s -> Linear.row_hash_table f t ~row s = Linear.row_hash f a ~n ~row s)
+        [ Bitset.of_list n ((n - 1) :: extra); Bitset.of_list_sparse n ((n - 1) :: extra); Bitset.create n ]
+      && List.for_all
+           (fun e -> Linear.split_pow f (Linear.split_powers f a (n * n)) e = f.Field.pow_int a e)
+           [ 0; 1; n - 1; n; n * n ])
 
 let nat_check = Alcotest.testable Nat.pp Nat.equal
 
@@ -277,6 +318,7 @@ let suite =
         Alcotest.test_case "automorphism invariance" `Quick test_graph_hash_automorphism_invariance;
         Alcotest.test_case "collision rate within bound" `Quick test_collision_rate_within_bound;
         Alcotest.test_case "power-table consistency" `Quick test_powers_consistency;
+        qtest prop_row_hash_table;
         Alcotest.test_case "linearity (nat)" `Quick test_linearity_nat;
         Alcotest.test_case "automorphism invariance (nat)" `Quick test_nat_automorphism_invariance
       ] );

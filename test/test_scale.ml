@@ -234,6 +234,91 @@ let test_apihash_faults () =
   let bare = Apihash.run ~seed:5 ~root:0 g in
   checkb "zero-rate spec bit-identical" true (clean = bare)
 
+(* Outcomes recorded with the per-node delivered-copy arrays the override
+   tables replaced: every fault kind must give the same verdict and ledger.
+   Rows are (fault, run seed, accepted, max bits/node, max response bits,
+   total bits) on one 200-node sparse expander, root 0. *)
+let apihash_fault_pins =
+  let corrupt = Fault.corrupt_only and drop = Fault.drop_only and crash = Fault.crash_only in
+  let vacuous = Fault.crash_only ~crash_mode:Fault.Crash_vacuous in
+  [ (corrupt 0.001, 1, false, 98400); (corrupt 0.001, 2, false, 98400); (corrupt 0.001, 3, false, 98400);
+    (corrupt 0.05, 1, false, 98400); (corrupt 0.05, 2, false, 98400); (corrupt 0.05, 3, false, 98400);
+    (drop 0.001, 1, true, 98400); (drop 0.001, 2, false, 98400); (drop 0.001, 3, false, 98400);
+    (drop 0.05, 1, false, 98400); (drop 0.05, 2, false, 98400); (drop 0.05, 3, false, 98400);
+    (crash 0.001, 1, false, 97908); (crash 0.001, 2, true, 98400); (crash 0.001, 3, true, 98400);
+    (crash 0.05, 1, false, 94956); (crash 0.05, 2, false, 92496); (crash 0.05, 3, false, 93972);
+    (Fault.equivocate_only, 1, false, 98400); (Fault.equivocate_only, 2, false, 98400);
+    (Fault.equivocate_only, 3, false, 98400);
+    (vacuous 0.001, 1, true, 97908); (vacuous 0.001, 2, true, 98400); (vacuous 0.001, 3, true, 98400);
+    (vacuous 0.05, 1, true, 94956); (vacuous 0.05, 2, true, 92496); (vacuous 0.05, 3, true, 93972)
+  ]
+
+let test_apihash_fault_pins () =
+  let g = Family.expander ~repr:Graph.Sparse (Rng.create 3) ~n:200 ~degree:4 in
+  List.iter
+    (fun (fault, seed, accepted, total_bits) ->
+      let want =
+        { Outcome.accepted; max_bits_per_node = 492; max_response_bits = 310; total_bits; prover = "apihash" }
+      in
+      checkb
+        (Printf.sprintf "%s seed=%d outcome pinned" (Fault.to_string fault) seed)
+        true
+        (Apihash.run ~fault ~seed ~root:0 g = want))
+    apihash_fault_pins
+
+(* A prover whose label or aggregate array is too short is rejected, not
+   an exception: the missing slots arrive as poisoned values. *)
+let test_apihash_short_advice () =
+  let g = Graph.path 6 in
+  let truncated name cut =
+    let prover : Apihash.prover =
+     fun params spec ~root g -> cut (Apihash.honest params spec ~root g)
+    in
+    List.iter
+      (fun seed ->
+        let out = Apihash.run ~prover ~seed ~root:0 g in
+        checkb (Printf.sprintf "short %s rejected (seed=%d)" name seed) false out.Outcome.accepted)
+      [ 1; 2; 3 ]
+  in
+  truncated "parent" (fun a -> { a with Apihash.parent = Array.sub a.Apihash.parent 0 3 });
+  truncated "dist" (fun a -> { a with Apihash.dist = Array.sub a.Apihash.dist 0 3 });
+  truncated "agg" (fun a -> { a with Apihash.agg = Array.sub a.Apihash.agg 0 (Array.length a.Apihash.agg - 1) })
+
+(* The honest advice against the per-copy oracle it replaced: k scalar
+   aggregations of one-shot Api.row_term values (pow_int chains). *)
+let oracle_advice (params : Apihash.params) spec ~root g =
+  let n = Graph.n g and f = params.Apihash.field and k = params.Apihash.copies in
+  let tree = Spanning_tree.bfs g root in
+  let term v = Ids_hash.Api.row_term f spec ~n ~row:v (Graph.closed_neighborhood g v) in
+  let per_copy =
+    Array.init k (fun i -> Ids_proof.Aggregation.honest_sums f tree ~term:(fun v -> (term v).(i)))
+  in
+  { Apihash.root;
+    parent = tree.Spanning_tree.parent;
+    dist = tree.Spanning_tree.dist;
+    agg = Array.init (n * k) (fun j -> per_copy.(j mod k).(j / k));
+    claim = Ids_hash.Api.finalize f spec (Array.init k (fun i -> per_copy.(i).(root)))
+  }
+
+let test_apihash_advice_pin () =
+  List.iter
+    (fun (name, g, root) ->
+      List.iter
+        (fun k ->
+          let params = Apihash.params_for ~k ~seed:k g in
+          let spec = Ids_hash.Api.random_spec params.Apihash.field ~k (Rng.create (k + 40)) in
+          checkb
+            (Printf.sprintf "%s k=%d advice = oracle" name k)
+            true
+            (Apihash.honest_advice params spec ~root g = oracle_advice params spec ~root g))
+        [ 1; 3 ])
+    [ ("path", Graph.path 50, 17);
+      ("star", Graph.star 40, 3);
+      ("dense expander", Family.expander ~repr:Graph.Dense (Rng.create 21) ~n:60 ~degree:8, 0);
+      (* n = 1000 puts q above 2^31: the int62 field. *)
+      ("sparse expander", Family.expander ~repr:Graph.Sparse (Rng.create 22) ~n:1000 ~degree:4, 999)
+    ]
+
 let test_apihash_rejects_bad_root () =
   Alcotest.check_raises "root out of range" (Invalid_argument "Apihash.run: root out of range")
     (fun () -> ignore (Apihash.run ~seed:1 ~root:9 (Graph.path 3)))
@@ -292,6 +377,9 @@ let suite =
         Alcotest.test_case "apihash eps < 1 at small n" `Quick test_apihash_epsilon_small;
         Alcotest.test_case "apihash rejects tampered advice" `Quick test_apihash_soundness;
         Alcotest.test_case "apihash under faults" `Quick test_apihash_faults;
+        Alcotest.test_case "apihash fault outcomes pinned" `Quick test_apihash_fault_pins;
+        Alcotest.test_case "apihash rejects short advice" `Quick test_apihash_short_advice;
+        Alcotest.test_case "apihash advice = per-copy oracle" `Quick test_apihash_advice_pin;
         Alcotest.test_case "apihash root validation" `Quick test_apihash_rejects_bad_root;
         Alcotest.test_case "BENCH_scale.json shape" `Quick test_bench_scale_shape
       ] )
