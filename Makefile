@@ -35,17 +35,22 @@ test-fast:
 	dune build @runtest-fast
 
 # The repository benchmark (BENCHMARK.json, perfbench/): a 5 s untraced
-# run of each workload at seed 1, printing each result object. Fails if a
-# run prints no result or any result reports "correct": false.
+# run of each workload at seed 1, printing each result object, then
+# apihash_scale once more with IDS_DOMAINS=1 so the single-domain path of
+# its chunked passes stays exercised end to end. Fails if a run prints no
+# result or any result reports "correct": false.
 PERFBENCH_WORKLOADS = apihash_scale trials_sym_dam serve_mix
+PERFBENCH_CORRECT = python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.stdin.read()).get("correct") is True else 1)'
 
 perfbench:
 	@for w in $(PERFBENCH_WORKLOADS); do \
 	  line=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 5 --trace 0 | tail -n 1); \
 	  echo "$$w $$line"; \
-	  echo "$$line" | python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.stdin.read()).get("correct") is True else 1)' \
-	    || { echo "perfbench: $$w did not pass its output checks" >&2; exit 1; }; \
-	done
+	  echo "$$line" | $(PERFBENCH_CORRECT) || { echo "perfbench: $$w did not pass its output checks" >&2; exit 1; }; \
+	done; \
+	line=$$(IDS_DOMAINS=1 python3 perfbench/run.py --workload apihash_scale --seed 1 --seconds 5 --trace 0 | tail -n 1); \
+	echo "apihash_scale (IDS_DOMAINS=1) $$line"; \
+	echo "$$line" | $(PERFBENCH_CORRECT) || { echo "perfbench: apihash_scale on one domain did not pass its output checks" >&2; exit 1; }
 
 # Regenerate the EXPERIMENTS.md tables (plus the JSON run log ids_runs.jsonl).
 # IDS_DOMAINS / IDS_TRIALS_SCALE / IDS_RUNLOG tune workers, budgets, log path.

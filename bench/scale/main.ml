@@ -3,8 +3,10 @@
    Builds a degree-4 random-circulant expander on the sparse backend and
    runs the two Θ(log n)-advice protocols end to end: the spanning-tree
    proof labeling scheme (Pls.Tree) and the Section 4 tree-aggregable
-   eps-API hash over streamed network views (Apihash). Reports nodes/sec
-   per protocol and the process's peak RSS, and emits BENCH_scale.json.
+   eps-API hash over streamed network views (Apihash, on
+   Engine.default_domains () domains — IDS_DOMAINS). Reports nodes/sec
+   per protocol, the domain count and the process's peak RSS, and emits
+   BENCH_scale.json.
 
    --smoke (n = 10^4, wired into @runtest-fast) additionally asserts the
    scale path's two contracts: peak RSS stays under a fixed bound (an
@@ -97,7 +99,7 @@ let backend_equality_smoke () =
   check "smoke: apihash outcome bit-identical across backends" (od = os);
   check "smoke: apihash accepts" od.Outcome.accepted
 
-let emit_json path ~n ~smoke ~graph_seconds ~sparse6_bytes ~pls ~api ~(params : Apihash.params)
+let emit_json path ~n ~smoke ~graph_seconds ~sparse6_bytes ~pls ~api ~(params : Apihash.params) ~domains
     ~peak_rss =
   let buf = Buffer.create 1024 in
   let proto name r =
@@ -115,8 +117,8 @@ let emit_json path ~n ~smoke ~graph_seconds ~sparse6_bytes ~pls ~api ~(params : 
   Buffer.add_string buf (Printf.sprintf "  %s,\n" (proto "pls_tree" pls));
   Buffer.add_string buf (Printf.sprintf "  %s,\n" (proto "apihash" api));
   Buffer.add_string buf
-    (Printf.sprintf "  \"apihash_q\": %d, \"apihash_copies\": %d,\n" params.Apihash.q
-       params.Apihash.copies);
+    (Printf.sprintf "  \"apihash_q\": %d, \"apihash_copies\": %d, \"apihash_domains\": %d,\n" params.Apihash.q
+       params.Apihash.copies domains);
   Buffer.add_string buf (Printf.sprintf "  \"peak_rss_mb\": %.1f\n" (peak_rss /. 1048576.));
   Buffer.add_string buf "}\n";
   let s = Buffer.contents buf in
@@ -159,8 +161,9 @@ let () =
     pls.nodes_per_sec pls.bits_per_node
     (if pls.accepted then "ACCEPT" else "REJECT");
   let api = run_apihash g in
-  Printf.printf "  apihash             %8.3f s  (%.0f nodes/s, %d bits/node, %s)\n%!" api.seconds
-    api.nodes_per_sec api.bits_per_node
+  let domains = Ids_engine.Engine.default_domains () in
+  Printf.printf "  apihash             %8.3f s  (%.0f nodes/s, %d bits/node, %d domains, %s)\n%!" api.seconds
+    api.nodes_per_sec api.bits_per_node domains
     (if api.accepted then "ACCEPT" else "REJECT");
   let params = Apihash.params_for ~seed:run_seed g in
   let peak_rss = float_of_int (peak_rss_bytes ()) in
@@ -178,4 +181,4 @@ let () =
     backend_equality_smoke ();
     Printf.printf "  backend equality    OK (dense/sparse bit-identical)\n%!"
   end;
-  emit_json !out_path ~n ~smoke:!smoke ~graph_seconds ~sparse6_bytes ~pls ~api ~params ~peak_rss
+  emit_json !out_path ~n ~smoke:!smoke ~graph_seconds ~sparse6_bytes ~pls ~api ~params ~domains ~peak_rss

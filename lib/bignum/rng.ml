@@ -20,6 +20,11 @@ let split t =
   let s = next_int64 t in
   { state = mix s }
 
+(* The state is a Weyl sequence, so k steps are one multiply-add. *)
+let skip t k =
+  if k < 0 then invalid_arg "Rng.skip: negative count";
+  t.state <- Int64.add t.state (Int64.mul (Int64.of_int k) gamma)
+
 let key parts =
   let z =
     List.fold_left

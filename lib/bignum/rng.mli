@@ -18,6 +18,11 @@ val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     (statistically) independent of the remainder of [t]'s stream. *)
 
+val skip : t -> int -> unit
+(** [skip t k] advances [t] exactly as [k] calls of {!split} (or
+    {!next_int64}) would, in O(1) and without allocating.
+    @raise Invalid_argument if [k < 0]. *)
+
 val key : int list -> int
 (** [key parts] derives a seed from a composite key by iterated splitmix64
     mixing: each component is folded through the avalanche function, so seeds

@@ -124,6 +124,23 @@ let fold f t init =
     done;
     !acc
 
+let fold_right f t init =
+  let acc = ref init in
+  (match t with
+  | Dense d ->
+    for w = Array.length d.words - 1 downto 0 do
+      let word = d.words.(w) in
+      if word <> 0 then
+        for b = word_bits - 1 downto 0 do
+          if word land (1 lsl b) <> 0 then acc := f ((w * word_bits) + b) !acc
+        done
+    done
+  | Sparse s ->
+    for i = s.size - 1 downto 0 do
+      acc := f s.elts.(i) !acc
+    done);
+  !acc
+
 (* Mismatched capacities compare unequal (they are sets over different
    universes, and [Graph.equal] on different-sized graphs must answer
    [false], not raise). Mixed representations compare by contents. *)

@@ -49,6 +49,10 @@ val iter : (int -> unit) -> t -> unit
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Folds over members in increasing order. *)
 
+val fold_right : (int -> 'a -> 'a) -> t -> 'a -> 'a
+(** [fold_right f s init] is [List.fold_right f (to_list s) init]: members
+    in decreasing order, without building the list. *)
+
 val to_list : t -> int list
 (** Members in increasing order. *)
 

@@ -1,26 +1,32 @@
 type t = { root : int; parent : int array; dist : int array }
 
-let bfs g root =
+(* The queue is a flat array that doubles as the visit order: slots
+   [0, tail) hold every vertex reached so far, in the order reached. *)
+let bfs_order g root =
   let n = Graph.n g in
   if root < 0 || root >= n then invalid_arg "Spanning_tree.bfs: root out of range";
   let parent = Array.make n (-1) and dist = Array.make n (-1) in
   parent.(root) <- root;
   dist.(root) <- 0;
-  let queue = Queue.create () in
-  Queue.add root queue;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    Bitset.iter
-      (fun u ->
-        if dist.(u) < 0 then begin
-          dist.(u) <- dist.(v) + 1;
-          parent.(u) <- v;
-          Queue.add u queue
-        end)
-      (Graph.neighbors g v)
+  let order = Array.make n root in
+  let head = ref 0 and tail = ref 1 and v = ref root in
+  let visit u =
+    if dist.(u) < 0 then begin
+      dist.(u) <- dist.(!v) + 1;
+      parent.(u) <- !v;
+      order.(!tail) <- u;
+      incr tail
+    end
+  in
+  while !head < !tail do
+    v := order.(!head);
+    incr head;
+    Bitset.iter visit (Graph.neighbors g !v)
   done;
-  if Array.exists (fun d -> d < 0) dist then invalid_arg "Spanning_tree.bfs: graph not connected";
-  { root; parent; dist }
+  if !tail < n then invalid_arg "Spanning_tree.bfs: graph not connected";
+  ({ root; parent; dist }, order)
+
+let bfs g root = fst (bfs_order g root)
 
 (* One bucketing pass: children.(v) lists v's tree children ascending. The
    per-vertex [children] below scans all n parents, which is fine for one

@@ -16,6 +16,13 @@ val bfs : Graph.t -> int -> t
 (** [bfs g root] computes a BFS tree. @raise Invalid_argument if [g] is not
     connected or [root] is out of range. *)
 
+val bfs_order : Graph.t -> int -> t * int array
+(** [bfs_order g root] is [bfs g root] together with the order in which the
+    search reached the vertices: a permutation of [0 .. n-1] starting at
+    [root], with non-decreasing [dist]. Read backwards it visits every
+    vertex after all of its tree children (leaves first).
+    @raise Invalid_argument as {!bfs}. *)
+
 val children : t -> int -> int list
 (** Children of a vertex in the tree, ascending. O(n) per query — use
     {!children_index} when visiting many vertices. *)

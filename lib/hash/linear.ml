@@ -92,7 +92,32 @@ let row_table f a ~n =
   let cols = split_powers f a n in
   { n; cols; rows = split_powers f (split_pow f cols n) (n - 1) }
 
-let row_hash_table f t ~row s =
-  if row < 0 || row >= t.n then invalid_arg "Linear.row_hash_table: row out of range";
-  let poly = Bitset.fold (fun w acc -> f.Field.add acc (split_pow f t.cols (w + 1))) s f.Field.zero in
-  f.Field.mul (split_pow f t.rows row) poly
+(* Closed row terms at several points in one pass over the row. The
+   scratch and the per-column step are allocated once per evaluator, so a
+   pass over many rows allocates nothing per row. Every term is a
+   canonical residue, so starting each sum at the row's own column is the
+   same field element as folding the closed set. *)
+type 'a closed_rows = { field : 'a Field.t; tables : 'a row_table array; terms : 'a array; add_col : int -> unit }
+
+let closed_rows f tables =
+  let k = Array.length tables in
+  let terms = Array.make k f.Field.zero in
+  let add_col w =
+    for i = 0 to k - 1 do
+      terms.(i) <- f.Field.add terms.(i) (split_pow f tables.(i).cols (w + 1))
+    done
+  in
+  { field = f; tables; terms; add_col }
+
+let closed_row_terms c ~row nbrs out pos =
+  let f = c.field and k = Array.length c.tables in
+  if pos < 0 || pos + k > Array.length out then invalid_arg "Linear.closed_row_terms: output slice out of range";
+  for i = 0 to k - 1 do
+    let t = c.tables.(i) in
+    if row < 0 || row >= t.n then invalid_arg "Linear.closed_row_terms: row out of range";
+    c.terms.(i) <- split_pow f t.cols (row + 1)
+  done;
+  Bitset.iter c.add_col nbrs;
+  for i = 0 to k - 1 do
+    out.(pos + i) <- f.Field.mul (split_pow f c.tables.(i).rows row) c.terms.(i)
+  done

@@ -95,8 +95,21 @@ type 'a row_table
 val row_table : 'a Field.t -> 'a -> n:int -> 'a row_table
 (** @raise Invalid_argument if [n < 1]. *)
 
-val row_hash_table : 'a Field.t -> 'a row_table -> row:int -> Ids_graph.Bitset.t -> 'a
-(** {!row_hash} evaluated from a {!row_table}: [1 + |s|] multiplications
-    beyond the lookups, bit-identical to [row_hash f a ~n ~row s] for a
-    canonical [a] and every [s] within [\[0, n)].
-    @raise Invalid_argument if [row] is out of [\[0, n)]. *)
+type 'a closed_rows
+(** An evaluator of closed-neighbourhood row terms at several points at
+    once, with its scratch allocated up front: one per domain, reused for
+    every row of a pass. *)
+
+val closed_rows : 'a Field.t -> 'a row_table array -> 'a closed_rows
+(** An evaluator for the points of the given tables, in order. *)
+
+val closed_row_terms : 'a closed_rows -> row:int -> Ids_graph.Bitset.t -> 'a array -> int -> unit
+(** [closed_row_terms c ~row nbrs out pos] writes, for the [i]-th table,
+    built at point [a], [row_hash f a ~n ~row (nbrs ∪ {row})] into
+    [out.(pos + i)] — bit-identical for a canonical [a] — for a set [nbrs]
+    within [\[0, n)] that does not contain [row]: a graph row, whose closed
+    neighbourhood it hashes in one pass over the row, with [1 + |nbrs|]
+    multiplications per point beyond the lookups, without copying the row
+    and without allocating.
+    @raise Invalid_argument if [row] is out of [\[0, n)] or the slice does
+    not fit in [out]. *)

@@ -4,7 +4,12 @@
     (challenges) and the bits it received from the prover (responses). The
     paper's protocol length is the maximum over nodes of the per-node total;
     lower bounds do not charge challenge bits, so the two directions are kept
-    separate. *)
+    separate.
+
+    A charge every node receives alike ({!charge_all_to_prover},
+    {!charge_all_from_prover}) is kept as one scalar per direction; the
+    per-node arrays are built on the first per-node charge, so a ledger
+    that only ever saw uniform rounds holds O(1) state. *)
 
 type t
 
@@ -25,6 +30,8 @@ val charge_all_from_prover : t -> int -> unit
 (** Charge the same number of received bits to every node (broadcast). *)
 
 val charge_all_to_prover : t -> int -> unit
+(** Charge the same number of sent bits to every node (an unfaulted
+    challenge round). Raises [Invalid_argument] if [bits < 0]. *)
 
 val to_prover : t -> int -> int
 val from_prover : t -> int -> int
@@ -40,5 +47,10 @@ val max_from_prover : t -> int
 
 val total : t -> int
 (** Total communication over the whole network. *)
+
+val equal : t -> t -> bool
+(** Same [n] and the same {!to_prover} and {!from_prover} at every node,
+    however the charges were split between uniform and per-node rounds.
+    Use this rather than structural [=], which sees that split. *)
 
 val pp : Format.formatter -> t -> unit

@@ -17,7 +17,7 @@ type t = {
   cost : Cost.t;
   rng : Rng.t;
   fault : Fault.t option;
-  missed : bool array;
+  mutable missed : bool array;  (* [||] until the first miss *)
   mutable round : int;
 }
 
@@ -32,7 +32,7 @@ let create ?fault ~seed graph =
     cost = Cost.create n;
     rng = Rng.create seed;
     fault;
-    missed = Array.make n false;
+    missed = [||];
     round = 0
   }
 
@@ -52,32 +52,60 @@ let next_round t =
 
 let fault_spec t = match t.fault with Some f -> Fault.spec f | None -> Fault.none
 let crashed t v = match t.fault with Some f -> Fault.crashed f v | None -> false
-let missed t v = t.missed.(v)
+let missed t v =
+  if v < 0 || v >= n t then invalid_arg "index out of bounds";
+  Array.length t.missed > 0 && t.missed.(v)
+
+let mark_missed t v =
+  if Array.length t.missed = 0 then t.missed <- Array.make (n t) false;
+  t.missed.(v) <- true
 
 let take_missed t =
-  let snapshot = Array.copy t.missed in
-  Array.fill t.missed 0 (Array.length t.missed) false;
+  let snapshot = if Array.length t.missed = 0 then Array.make (n t) false else t.missed in
+  t.missed <- [||];
   snapshot
 
 (* Crashed nodes are silent for the whole execution: they neither send
    challenges nor receive responses, so the ledger must not charge them
    (a crashed-silent node billed per round was inflating the E13 crash
-   degradation sweeps). *)
+   degradation sweeps). With no crash possible every node pays the same,
+   which the ledger keeps as one scalar. *)
+let charge_live t counter ~round ~all ~one bits =
+  let crash_free = match t.fault with None -> true | Some f -> (Fault.spec f).Fault.crash = 0. in
+  if crash_free then all t.cost bits;
+  if (not crash_free) || Obs.enabled () then
+    for v = 0 to n t - 1 do
+      if not (crashed t v) then begin
+        if not crash_free then one t.cost v bits;
+        Obs.Counter.add_cell counter ~round ~node:v bits
+      end
+    done
+
 let charge_live_to_prover t ~round bits =
-  for v = 0 to n t - 1 do
-    if not (crashed t v) then begin
-      Cost.charge_to_prover t.cost v bits;
-      Obs.Counter.add_cell c_to_prover ~round ~node:v bits
-    end
-  done
+  charge_live t c_to_prover ~round ~all:Cost.charge_all_to_prover ~one:Cost.charge_to_prover bits
 
 let charge_live_from_prover t ~round bits =
-  for v = 0 to n t - 1 do
-    if not (crashed t v) then begin
-      Cost.charge_from_prover t.cost v bits;
-      Obs.Counter.add_cell c_from_prover ~round ~node:v bits
-    end
-  done
+  charge_live t c_from_prover ~round ~all:Cost.charge_all_from_prover ~one:Cost.charge_from_prover bits
+
+(* Every node's fault decision on its challenge. Delivery failure is modeled
+   purely as decide-time rejection: the drawn value is still returned (and
+   is typically handed to the prover — there is no generic sentinel for
+   'c), but the sending node is marked missed so {!decide}, or a protocol
+   folding {!take_missed} into its own verdicts, rejects it. Soundness must
+   never depend on hiding a dropped challenge from the prover. *)
+let challenge_faults t ~round =
+  match t.fault with
+  | None -> ()
+  | Some f ->
+    let fround = Fault.next_round f in
+    for v = 0 to n t - 1 do
+      Obs.Counter.add_cell c_fault_decisions ~round ~node:v 1;
+      match Fault.deliver f ~round:fround ~node:v () with
+      | Fault.Dropped ->
+        mark_missed t v;
+        Obs.Counter.add_cell c_fault_drops ~round ~node:v 1
+      | Fault.Delivered () -> ()
+    done
 
 let challenge t ~bits gen =
   let round = next_round t in
@@ -89,25 +117,25 @@ let challenge t ~bits gen =
       end;
       (* Each node owns an independent generator split off the execution seed. *)
       let a = Array.init (n t) (fun _ -> gen (Rng.split t.rng)) in
-      (match t.fault with
-      | None -> ()
-      | Some f ->
-        let fround = Fault.next_round f in
-        for v = 0 to n t - 1 do
-          Obs.Counter.add_cell c_fault_decisions ~round ~node:v 1;
-          (* Delivery failure is modeled purely as decide-time rejection: the
-             drawn value stays in the returned array (and is typically handed to
-             the prover — there is no generic sentinel for 'c), but the sending
-             node is marked missed so {!decide}, or a protocol folding
-             {!take_missed} into its own verdicts, rejects it. Soundness must
-             never depend on hiding a dropped challenge from the prover. *)
-          match Fault.deliver f ~round:fround ~node:v a.(v) with
-          | Fault.Dropped ->
-            t.missed.(v) <- true;
-            Obs.Counter.add_cell c_fault_drops ~round ~node:v 1
-          | Fault.Delivered _ -> ()
-        done);
+      challenge_faults t ~round;
       a)
+
+let challenge_at t ~bits ~node gen =
+  if node < 0 || node >= n t then invalid_arg "Network.challenge_at: node out of range";
+  let round = next_round t in
+  Obs.span ~round "net.challenge" (fun () ->
+      charge_live_to_prover t ~round bits;
+      if Obs.enabled () then begin
+        Obs.Counter.add c_draws (n t);
+        Obs.Histo.observe h_msg_bits bits
+      end;
+      (* The same per-node splits as {!challenge}, in node order: the nodes
+         whose draws nobody keeps only advance the stream. *)
+      Rng.skip t.rng node;
+      let c = gen (Rng.split t.rng) in
+      Rng.skip t.rng (n t - 1 - node);
+      challenge_faults t ~round;
+      c)
 
 let check_length t a = if Array.length a <> n t then invalid_arg "Network: response length mismatch"
 
@@ -128,7 +156,7 @@ let apply_faults t ?corrupt ?on_drop ~round ~equivocable responses =
         Obs.Counter.add_cell c_fault_drops ~round ~node:v 1;
         match on_drop with
         | Some d -> out.(v) <- d
-        | None -> t.missed.(v) <- true)
+        | None -> mark_missed t v)
     done;
     (if equivocable then
        match (corrupt, Fault.equivocation f ~round:fround ~n:(Array.length out)) with
@@ -183,11 +211,10 @@ let broadcast_consistent_at ?(equal = fun a b -> a = b) t values v =
    response live for the whole round. The folds below visit nodes 0..n-1 in
    order, build each node's view on demand (its graph row is shared, not
    copied — O(degree) resident for sparse-backed graphs), apply the fault
-   layer per node, and release the view before moving on. Randomness
-   consumption is identical to the array primitives: challenge draws split
-   the main generator per node in the same order, and fault decisions come
-   from streams keyed by (seed, round, node) — so a protocol computing the
-   same function over a streamed round is bit-identical to the array form. *)
+   layer per node, and release the view before moving on. Fault decisions
+   come from streams keyed by (seed, round, node), as in the array
+   primitives, so a protocol computing the same function over a streamed
+   round is bit-identical to the array form. *)
 
 type 'c node_view = {
   node : int;
@@ -210,46 +237,14 @@ let fold_views t ~init f =
   done;
   !acc
 
-let challenge_fold t ~bits ~gen ~init f =
-  let round = next_round t in
-  Obs.span ~round "net.challenge" (fun () ->
-      if Obs.enabled () then begin
-        Obs.Counter.add c_draws (n t);
-        Obs.Histo.observe h_msg_bits bits
-      end;
-      let fround = match t.fault with None -> 0 | Some fl -> Fault.next_round fl in
-      let acc = ref init in
-      for v = 0 to n t - 1 do
-        if not (crashed t v) then begin
-          Cost.charge_to_prover t.cost v bits;
-          Obs.Counter.add_cell c_to_prover ~round ~node:v bits
-        end;
-        (* Same split order as the array primitive: one child generator per
-           node, drawn in node order with nothing interleaved. *)
-        let c = gen (Rng.split t.rng) in
-        let dropped =
-          match t.fault with
-          | None -> false
-          | Some fl -> (
-            Obs.Counter.add_cell c_fault_decisions ~round ~node:v 1;
-            match Fault.deliver fl ~round:fround ~node:v c with
-            | Fault.Dropped ->
-              t.missed.(v) <- true;
-              Obs.Counter.add_cell c_fault_drops ~round ~node:v 1;
-              true
-            | Fault.Delivered _ -> false)
-        in
-        acc := f !acc (make_view t v c ~dropped)
-      done;
-      !acc)
-
 (* Shared per-node delivery for the streamed response rounds. The
    equivocation victim (broadcast only) is resolved up front from the same
    keyed stream the array path uses, then applied to the victim's delivered
    copy — drop/corrupt and the equivocation attack compose exactly as in
    [apply_faults]. *)
-let response_fold t ?corrupt ?on_drop ~equivocable ~charge ~respond ~init f =
+let response_fold t ?corrupt ?on_drop ~equivocable ~bits ~respond ~init f =
   let round = next_round t in
+  charge_live_from_prover t ~round bits;
   let fround = match t.fault with None -> 0 | Some fl -> Fault.next_round fl in
   let equiv =
     match t.fault with
@@ -261,7 +256,6 @@ let response_fold t ?corrupt ?on_drop ~equivocable ~charge ~respond ~init f =
   in
   let acc = ref init in
   for v = 0 to n t - 1 do
-    charge ~round v;
     let sent = respond v in
     let delivered, dropped =
       match t.fault with
@@ -275,7 +269,7 @@ let response_fold t ?corrupt ?on_drop ~equivocable ~charge ~respond ~init f =
           match on_drop with
           | Some d -> (d, true)
           | None ->
-            t.missed.(v) <- true;
+            mark_missed t v;
             (sent, true)))
     in
     let delivered =
@@ -290,36 +284,21 @@ let response_fold t ?corrupt ?on_drop ~equivocable ~charge ~respond ~init f =
 let unicast_fold t ?corrupt ?on_drop ~bits ~respond ~init f =
   Obs.span ~round:(current_round t + 1) "net.unicast" (fun () ->
       if Obs.enabled () then Obs.Histo.observe h_msg_bits bits;
-      let charge ~round v =
-        if not (crashed t v) then begin
-          Cost.charge_from_prover t.cost v bits;
-          Obs.Counter.add_cell c_from_prover ~round ~node:v bits
-        end
-      in
-      response_fold t ?corrupt ?on_drop ~equivocable:false ~charge ~respond ~init f)
+      response_fold t ?corrupt ?on_drop ~equivocable:false ~bits ~respond ~init f)
 
 let broadcast_fold t ?corrupt ?on_drop ~bits value ~init f =
   Obs.span ~round:(current_round t + 1) "net.broadcast" (fun () ->
       if Obs.enabled () then Obs.Histo.observe h_msg_bits bits;
-      let charge ~round v =
-        if not (crashed t v) then begin
-          Cost.charge_from_prover t.cost v bits;
-          Obs.Counter.add_cell c_from_prover ~round ~node:v bits
-        end
-      in
-      response_fold t ?corrupt ?on_drop ~equivocable:true ~charge
-        ~respond:(fun _ -> value)
-        ~init f)
+      response_fold t ?corrupt ?on_drop ~equivocable:true ~bits ~respond:(fun _ -> value) ~init f)
+
+let verdict t out v =
+  if crashed t v then
+    match t.fault with Some f -> Fault.crash_mode f = Fault.Crash_vacuous | None -> false
+  else (not (missed t v)) && out v
 
 let decide t out =
   let accepted = ref true in
   for v = 0 to n t - 1 do
-    if crashed t v then begin
-      match t.fault with
-      | Some f when Fault.crash_mode f = Fault.Crash_vacuous -> ()
-      | _ -> accepted := false
-    end
-    else if t.missed.(v) then accepted := false
-    else if not (out v) then accepted := false
+    if not (verdict t out v) then accepted := false
   done;
   !accepted

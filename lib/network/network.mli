@@ -71,6 +71,15 @@ val challenge : t -> bits:int -> (Ids_bignum.Rng.t -> 'c) -> 'c array
     rejection — the drawn value is still present in the returned array and
     observable by prover code; soundness must not rely on hiding it. *)
 
+val challenge_at : t -> bits:int -> node:int -> (Ids_bignum.Rng.t -> 'c) -> 'c
+(** Arthur round in which only one node's draw is ever read (a shared
+    challenge such as the root's): [challenge_at t ~bits ~node gen] is
+    [(challenge t ~bits gen).(node)] with the same charges, the same fault
+    decisions and missed flags at every node, and the execution generator
+    left in the same state — but [gen] runs once, and the other nodes'
+    splits only advance the stream ({!Ids_bignum.Rng.skip}).
+    @raise Invalid_argument if [node] is out of range. *)
+
 val unicast : t -> ?corrupt:(Ids_bignum.Rng.t -> 'r -> 'r) -> ?on_drop:'r -> bits:int -> 'r array -> 'r array
 (** Merlin unicast round: the prover supplies one value per node; every node
     is charged [bits] received. Under faults, each delivery can corrupt (via
@@ -112,10 +121,8 @@ val broadcast_consistent_at : ?equal:('r -> 'r -> bool) -> t -> 'r array -> int 
     each node's {!node_view} on demand and release it before the next node:
     the view's [neighbors] field is the graph's own row (shared, never
     copied), so resident memory per in-flight node is O(degree) for
-    sparse-backed graphs. Randomness consumption is identical to the array
-    primitives — challenge draws split the main generator per node in the
-    same order, fault decisions come from streams keyed by
-    [(seed, round, node)] — so a protocol computing the same function over
+    sparse-backed graphs. Fault decisions come from streams keyed by
+    [(seed, round, node)], exactly as in the array primitives, so a protocol computing the same function over
     a streamed round is bit-identical to its array form (pinned by the
     equivalence tests). *)
 
@@ -123,7 +130,7 @@ type 'c node_view = {
   node : int;
   degree : int;
   neighbors : Ids_graph.Bitset.t;  (** The graph's own row; do not mutate. *)
-  value : 'c;  (** This node's challenge draw or delivered payload. *)
+  value : 'c;  (** This node's delivered payload. *)
   dropped : bool;  (** The fault layer dropped this node's message. *)
 }
 
@@ -134,12 +141,6 @@ val fold_views : t -> init:'a -> ('a -> unit node_view -> 'a) -> 'a
 (** Fold the pure views of all nodes in ascending order; no channel round,
     no charge, no rng consumption. *)
 
-val challenge_fold :
-  t -> bits:int -> gen:(Ids_bignum.Rng.t -> 'c) -> init:'a -> ('a -> 'c node_view -> 'a) -> 'a
-(** Streamed Arthur round: like {!challenge}, but the draws are folded
-    node-by-node instead of materialized. A dropped challenge marks the
-    node missed (and sets the view's [dropped]); the drawn value is still
-    visible in the view, exactly as in the array form. *)
 
 val unicast_fold :
   t ->
@@ -170,9 +171,17 @@ val broadcast_fold :
     drop/corrupt per node plus the equivocation victim when the spec
     equivocates. *)
 
+val verdict : t -> (int -> bool) -> int -> bool
+(** [verdict t out v] is node [v]'s share of {!decide}: [false] if [v]
+    missed a message, [out v] otherwise — except that a crashed node never
+    runs [out] and counts as accepting only under {!Fault.Crash_vacuous}.
+    Reads the network without changing it, so disjoint node ranges may be
+    judged on separate domains once every round has run. *)
+
 val decide : t -> (int -> bool) -> bool
 (** [decide t out] runs the local decision [out v] at every node and accepts
     iff all nodes accept (the paper's global acceptance rule). Nodes that
     missed a message reject. Crashed nodes never run [out]: they count as
     rejecting under {!Fault.Crash_reject} and are skipped under
-    {!Fault.Crash_vacuous}. *)
+    {!Fault.Crash_vacuous}. Equal to the conjunction of {!verdict} over
+    all nodes. *)

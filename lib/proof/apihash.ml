@@ -85,43 +85,44 @@ type advice = {
    terms then cost O(degree) multiplications, not O(degree log n). *)
 let row_tables f (spec : int Api.spec) ~n = Array.map (fun a -> Linear.row_table f a ~n) spec.Api.points
 
-let honest_advice params (spec : int Api.spec) ~root g =
+(* The two per-node passes (the prover's row terms, the verifier's local
+   checks) run over fixed ranges of [chunk] nodes on up to [domains]
+   domains. Each range reads shared data and writes only its own nodes'
+   slots, so every result is the same for any domain count and chunk size.
+   A graph of at most [chunk] nodes is one range and spawns no domain. *)
+let default_chunk = 4096
+
+let over_chunks ~domains ~chunk n f =
+  if chunk < 1 then invalid_arg "Apihash: chunk must be positive";
+  Ids_engine.Scheduler.map_range ~domains ~lo:0 ~hi:((n + chunk - 1) / chunk) (fun c ->
+      f (c * chunk) (min n ((c + 1) * chunk)))
+
+let honest_advice ?(domains = Ids_engine.Engine.default_domains ()) ?(chunk = default_chunk) params
+    (spec : int Api.spec) ~root g =
   let n = Graph.n g in
   let f = params.field and k = params.copies in
-  let tree = Spanning_tree.bfs g root in
+  let tree, order = Spanning_tree.bfs_order g root in
   let parent = tree.Spanning_tree.parent and dist = tree.Spanning_tree.dist in
-  (* One pass writes every node's k terms into its agg slots; each closed
-     neighbourhood is released before the next. *)
+  (* Every node's k terms into its agg slots, from its shared graph row.
+     The BFS stays in the caller: its O(n) arrays allocated on a worker
+     domain would sit in that thread's malloc arena and raise peak RSS. *)
   let tables = row_tables f spec ~n in
   let agg = Array.make (n * k) f.Field.zero in
-  for v = 0 to n - 1 do
-    let s = Graph.closed_neighborhood g v in
-    Array.iteri (fun i t -> agg.((v * k) + i) <- Linear.row_hash_table f t ~row:v s) tables
-  done;
-  (* Leaves-first: counting-sort the nodes by BFS distance, then add each
-     node's k-vector into its parent's, deepest level first, so a node is
-     complete before it is folded upward. Field addition is exact, so the
-     sums equal the subtree totals in any order. *)
-  let depth = Array.fold_left max 0 dist in
-  let next = Array.make (depth + 2) 0 in
-  Array.iter (fun d -> next.(d + 1) <- next.(d + 1) + 1) dist;
-  for d = 1 to depth + 1 do
-    next.(d) <- next.(d) + next.(d - 1)
-  done;
-  let order = Array.make n 0 in
-  Array.iteri
-    (fun v d ->
-      order.(next.(d)) <- v;
-      next.(d) <- next.(d) + 1)
-    dist;
-  for j = n - 1 downto 0 do
+  ignore
+    (over_chunks ~domains ~chunk n (fun lo hi ->
+         let rows = Linear.closed_rows f tables in
+         for v = lo to hi - 1 do
+           Linear.closed_row_terms rows ~row:v (Graph.neighbors g v) agg (v * k)
+         done));
+  (* Leaves-first: the BFS order backwards adds each node's k-vector into
+     its parent's after all of the node's children have been added. Field
+     addition is exact, so the sums equal the subtree totals in any order. *)
+  for j = n - 1 downto 1 do
     let v = order.(j) in
-    if v <> root then begin
-      let p = parent.(v) * k and c = v * k in
-      for i = 0 to k - 1 do
-        agg.(p + i) <- f.Field.add agg.(p + i) agg.(c + i)
-      done
-    end
+    let p = parent.(v) * k and c = v * k in
+    for i = 0 to k - 1 do
+      agg.(p + i) <- f.Field.add agg.(p + i) agg.(c + i)
+    done
   done;
   { root; parent; dist; agg; claim = Api.finalize f spec (Array.sub agg (root * k) k) }
 
@@ -180,26 +181,25 @@ let delivered ~len sent tbl patch =
     out
   end
 
-(* One execution, every round streamed: the Arthur round folds per-node
-   spec draws keeping only the root's, each Merlin round keeps the value
-   sent plus the few copies the fault layer changed, and verification runs
-   inside Network.decide — each node's row term comes from the spec's split
-   tables (built once per distinct spec) over its shared O(degree) graph
-   row, so no per-node view outlives its visit. *)
-let run_body ?fault ?(prover = honest) ?k ~seed ~root g =
+(* One execution, every round streamed: the Arthur round draws only the
+   root's spec, each Merlin round keeps the value sent plus the few copies
+   the fault layer changed, and the local checks run in node-range chunks
+   under Network.verdict — each node's row term comes from the root spec's
+   split tables over its shared O(degree) graph row, so no per-node view
+   outlives its visit. *)
+let run_body ?fault ?prover ?k ?(domains = Ids_engine.Engine.default_domains ()) ?(chunk = default_chunk) ~seed
+    ~root g =
   let n = Graph.n g in
   if root < 0 || root >= n then invalid_arg "Apihash.run: root out of range";
+  let prover = match prover with Some p -> p | None -> honest_advice ~domains ~chunk in
   let params = params_for ?k ~seed g in
   let f = params.field and k = params.copies in
   let net = Network.create ?fault ~seed g in
   let spec_bits = Api.spec_bits f ~k in
   (* Arthur: every node draws a spec; the root's draw is the shared one the
-     prover must echo. Streamed — n - 1 of the draws die immediately. *)
-  let root_spec =
-    Network.challenge_fold net ~bits:spec_bits ~gen:(Api.random_spec f ~k) ~init:None
-      (fun acc view -> if view.Network.node = root then Some view.Network.value else acc)
-  in
-  let root_spec = Option.get root_spec in
+     prover must echo and the only one any node reads, so it is the only
+     one generated. *)
+  let root_spec = Network.challenge_at net ~bits:spec_bits ~node:root (Api.random_spec f ~k) in
   let a = prover params root_spec ~root g in
   let field_corrupt = Fault.flip_int_bit ~bits:f.Field.bits in
   let spec_corrupt rng (s : int Api.spec) = { s with Api.shift = field_corrupt rng s.Api.shift } in
@@ -257,77 +257,92 @@ let run_body ?fault ?(prover = honest) ?k ~seed ~root g =
   let spec_of = copy spec_tbl root_spec
   and claim_of = copy claim_tbl a.claim
   and root_of = copy root_tbl a.root in
-  (* Verifier-side split tables, built once per distinct (range-checked)
-     spec; the honest run shares one points array across all nodes. *)
-  let tables_for =
-    let memo = Hashtbl.create 2 and last = ref None in
-    fun (spec : int Api.spec) ->
-      match !last with
-      | Some (points, t) when points == spec.Api.points -> t
-      | _ ->
-        let t =
-          match Hashtbl.find_opt memo spec.Api.points with
-          | Some t -> t
-          | None ->
-            let t = row_tables f spec ~n in
-            Hashtbl.add memo spec.Api.points t;
-            t
-        in
-        last := Some (spec.Api.points, t);
-        t
-  in
-  (* Local verification, one node at a time inside decide. *)
+  (* Verifier-side split tables for the root's points, built before the
+     chunks; a node holding other (range-checked) points builds its own,
+     so nothing shared is written during the checks. *)
+  let root_tables = row_tables f root_spec ~n in
   let field_ok x = Aggregation.in_range params.q x in
   let spec_eq (x : int Api.spec) (y : int Api.spec) = x == y || x = y in
-  let check v =
-    let spec = spec_of v and claim = claim_of v and rt = root_of v in
-    let nbrs_consistent =
-      Ids_graph.Bitset.fold
-        (fun u acc ->
-          acc
-          && (Network.crashed net u
-             || (spec_eq (spec_of u) spec && claim_of u = claim && root_of u = rt)))
-        (Graph.neighbors g v) true
-    in
-    nbrs_consistent
-    && Aggregation.in_range n rt
-    && field_ok claim
-    && Array.length spec.Api.points = k
+  let spec_ok (spec : int Api.spec) =
+    Array.length spec.Api.points = k
     && Array.for_all field_ok spec.Api.points
     && Array.for_all field_ok spec.Api.coeffs
     && field_ok spec.Api.shift
-    && Aggregation.tree_check g ~root:rt ~parent ~dist v
-    &&
+  in
+  let root_spec_ok = spec_ok root_spec in
+  (* With no broadcast copy changed, every node holds the sent values and
+     the neighbour comparison holds everywhere. *)
+  let broadcasts_intact =
+    Hashtbl.length spec_tbl = 0 && Hashtbl.length claim_tbl = 0 && Hashtbl.length root_tbl = 0
+  in
+  (* Local verification of one node, with per-chunk scratch: the node's k
+     expected aggregates, first its own terms, then its children's sums
+     added in decreasing order — a crashed child's unchecked aggregate may
+     be out of range, where field addition is no longer order-free. *)
+  let checker () =
+    let root_rows = Linear.closed_rows f root_tables in
+    let expected = Array.make k f.Field.zero in
+    let add_child u v =
+      if parent.(u) = v then
+        for i = 0 to k - 1 do
+          expected.(i) <- f.Field.add expected.(i) agg.((u * k) + i)
+        done;
+      v
+    in
+    fun v ->
+      let spec = spec_of v and claim = claim_of v and rt = root_of v in
+      let nbrs = Graph.neighbors g v in
+      let nbrs_consistent =
+        broadcasts_intact
+        || Ids_graph.Bitset.fold
+             (fun u acc ->
+               acc
+               && (Network.crashed net u
+                  || (spec_eq (spec_of u) spec && claim_of u = claim && root_of u = rt)))
+             nbrs true
+      in
+      nbrs_consistent
+      && Aggregation.in_range n rt
+      && field_ok claim
+      && (if spec == root_spec then root_spec_ok else spec_ok spec)
+      && Aggregation.tree_check g ~root:rt ~parent ~dist v
+      &&
+      let ok = ref true in
+      for i = 0 to k - 1 do
+        if not (field_ok agg.((v * k) + i)) then ok := false
+      done;
+      !ok
+      &&
+      (* Own terms from the shared O(degree) row, then the Lemma 3.3 subtree
+         equation per inner copy. *)
+      let rows =
+        if spec.Api.points == root_spec.Api.points || spec.Api.points = root_spec.Api.points then root_rows
+        else Linear.closed_rows f (row_tables f spec ~n)
+      in
+      Linear.closed_row_terms rows ~row:v nbrs expected 0;
+      ignore (Ids_graph.Bitset.fold_right add_child nbrs v);
+      let ok = ref true in
+      for i = 0 to k - 1 do
+        if agg.((v * k) + i) <> expected.(i) then ok := false
+      done;
+      !ok
+      &&
+      if v = rt then
+        f.Field.equal (Api.finalize f spec (Array.sub agg (v * k) k)) claim
+        && v = root && spec_eq spec root_spec
+      else true
+  in
+  (* Network.decide's rules, one node range per chunk. *)
+  let chunk_ok lo hi =
+    let check = checker () in
     let ok = ref true in
-    for i = 0 to k - 1 do
-      if not (field_ok agg.((v * k) + i)) then ok := false
+    for v = lo to hi - 1 do
+      if not (Network.verdict net check v) then ok := false
     done;
     !ok
-    &&
-    (* Own term from the shared O(degree) row, then the Lemma 3.3 subtree
-       equation per inner copy. *)
-    let tables = tables_for spec in
-    let s = Graph.closed_neighborhood g v in
-    let children = Aggregation.children g ~parent v in
-    let copy_ok i =
-      let expected =
-        List.fold_left
-          (fun acc u -> f.Field.add acc agg.((u * k) + i))
-          (Linear.row_hash_table f tables.(i) ~row:v s)
-          children
-      in
-      agg.((v * k) + i) = expected
-    in
-    let rec all_copies i = i >= k || (copy_ok i && all_copies (i + 1)) in
-    all_copies 0
-    &&
-    if v = rt then
-      f.Field.equal (Api.finalize f spec (Array.sub agg (v * k) k)) claim
-      && v = root && spec_eq spec root_spec
-    else true
   in
-  let accepted = Network.decide net check in
+  let accepted = Array.for_all Fun.id (over_chunks ~domains ~chunk n chunk_ok) in
   Outcome.of_cost ~accepted ~prover:"apihash" (Network.cost net)
 
-let run ?fault ?prover ?k ~seed ~root g =
-  Ids_obs.Obs.span "apihash.run" (fun () -> run_body ?fault ?prover ?k ~seed ~root g)
+let run ?fault ?prover ?k ?domains ?chunk ~seed ~root g =
+  Ids_obs.Obs.span "apihash.run" (fun () -> run_body ?fault ?prover ?k ?domains ?chunk ~seed ~root g)

@@ -44,15 +44,21 @@ type advice = {
   claim : int;
 }
 
-val honest_advice : params -> int Ids_hash.Api.spec -> root:int -> Ids_graph.Graph.t -> advice
+val honest_advice :
+  ?domains:int -> ?chunk:int -> params -> int Ids_hash.Api.spec -> root:int -> Ids_graph.Graph.t -> advice
 (** The honest message for a BFS tree rooted at [root]: one pass writes
-    every node's [k] row terms into [agg], then a leaves-first pass adds
-    each node's vector into its parent's.
-    @raise Invalid_argument if the graph is disconnected. *)
+    every node's [k] row terms into [agg], in ranges of [chunk] nodes
+    (default 4096) on up to [domains] domains (default
+    {!Ids_engine.Engine.default_domains}), then a leaves-first pass adds
+    each node's vector into its parent's. The advice is the same for every
+    [domains] and [chunk]; a graph of at most [chunk] nodes spawns no
+    domain.
+    @raise Invalid_argument if the graph is disconnected or [chunk < 1]. *)
 
 type prover = params -> int Ids_hash.Api.spec -> root:int -> Ids_graph.Graph.t -> advice
 
 val honest : prover
+(** {!honest_advice} at its default domain count. *)
 
 val adversary_wrong_claim : prover
 (** Honest advice with the claimed hash shifted: rejected with
@@ -71,12 +77,17 @@ val run :
   ?fault:Ids_network.Fault.spec ->
   ?prover:prover ->
   ?k:int ->
+  ?domains:int ->
+  ?chunk:int ->
   seed:int ->
   root:int ->
   Ids_graph.Graph.t ->
   Outcome.t
-(** One execution on a connected graph: spec challenge (streamed), spec /
-    claim / root broadcasts, tree-label and aggregate unicasts, local
-    verification inside {!Ids_network.Network.decide}. Deterministic in
-    [seed]; the fault layer applies to every round.
-    @raise Invalid_argument if [root] is out of range. *)
+(** One execution on a connected graph: spec challenge (only the root's
+    draw is generated), spec / claim / root broadcasts, tree-label and
+    aggregate unicasts, then every node's local verification under
+    {!Ids_network.Network.verdict}, in ranges of [chunk] nodes on up to
+    [domains] domains (defaults as {!honest_advice}, which is the default
+    prover, given the same two). Deterministic in [seed], and the same for
+    every [domains] and [chunk]; the fault layer applies to every round.
+    @raise Invalid_argument if [root] is out of range or [chunk < 1]. *)

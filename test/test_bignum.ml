@@ -366,6 +366,19 @@ let test_rng_split_independent () =
   let xa = Rng.next_int64 a and xb = Rng.next_int64 b in
   Alcotest.(check bool) "streams differ" true (xa <> xb)
 
+let test_rng_skip () =
+  List.iter
+    (fun k ->
+      let a = Rng.create 77 and b = Rng.create 77 in
+      for _ = 1 to k do
+        ignore (Rng.split a)
+      done;
+      Rng.skip b k;
+      Alcotest.(check int64) (Printf.sprintf "skip %d = %d splits" k k) (Rng.next_int64 a) (Rng.next_int64 b))
+    [ 0; 1; 2; 1000 ];
+  Alcotest.check_raises "negative" (Invalid_argument "Rng.skip: negative count") (fun () ->
+      Rng.skip (Rng.create 1) (-1))
+
 let test_rng_int_bounds () =
   let rng = Rng.create 5 in
   for _ = 1 to 1000 do
@@ -543,6 +556,7 @@ let suite =
     ( "rng",
       [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
         Alcotest.test_case "split independence" `Quick test_rng_split_independent;
+        Alcotest.test_case "skip = repeated splits" `Quick test_rng_skip;
         Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
         Alcotest.test_case "int roughly uniform" `Quick test_rng_int_rough_uniform;
         Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes

@@ -247,6 +247,54 @@ let test_dropped_challenge_rejects () =
   Alcotest.(check bool) "challenge drop marks sender missed" true (Network.missed net 0);
   Alcotest.(check bool) "decide rejects" false (Network.decide net (fun _ -> true))
 
+(* challenge_at keeps one node's draw of the array round: same value, same
+   ledger, same missed flags and the same stream state afterwards, at every
+   node and under drops and crashes. *)
+let test_challenge_at_matches_array () =
+  let g = Graph.cycle 9 in
+  List.iter
+    (fun fault ->
+      for node = 0 to 8 do
+        let ta = Network.create ~fault ~seed:21 g and tb = Network.create ~fault ~seed:21 g in
+        let gen rng = Rng.bits rng 20 in
+        let a = Network.challenge ta ~bits:20 gen in
+        let b = Network.challenge_at tb ~bits:20 ~node gen in
+        let tag = Printf.sprintf "%s node %d" (Fault.to_string fault) node in
+        Alcotest.(check int) (tag ^ ": draw") a.(node) b;
+        Alcotest.(check bool) (tag ^ ": ledger") true (Ids_network.Cost.equal (Network.cost ta) (Network.cost tb));
+        Alcotest.(check (array bool)) (tag ^ ": missed") (Network.take_missed ta) (Network.take_missed tb);
+        Alcotest.(check int64) (tag ^ ": stream") (Rng.next_int64 (Network.rng ta)) (Rng.next_int64 (Network.rng tb))
+      done)
+    [ Fault.none; Fault.drop_only 0.4; Fault.crash_only 0.3 ];
+  Alcotest.check_raises "node out of range" (Invalid_argument "Network.challenge_at: node out of range") (fun () ->
+      ignore (Network.challenge_at (Network.create ~seed:1 g) ~bits:1 ~node:9 (fun _ -> ())))
+
+(* decide is the conjunction of per-node verdicts: a missed node rejects,
+   a crashed node never runs the local check and counts per crash mode. *)
+let test_verdict_rules () =
+  let g = Graph.cycle 12 in
+  List.iter
+    (fun fault ->
+      let net = Network.create ~fault ~seed:4 g in
+      let (_ : int array) = Network.unicast net ~bits:3 (Array.make 12 1) in
+      let ran = Array.make 12 false in
+      let out v =
+        ran.(v) <- true;
+        v <> 5
+      in
+      let verdicts = List.init 12 (Network.verdict net out) in
+      List.iteri
+        (fun v ok ->
+          let want =
+            if Network.crashed net v then (Network.fault_spec net).Fault.crash_mode = Fault.Crash_vacuous
+            else (not (Network.missed net v)) && v <> 5
+          in
+          Alcotest.(check bool) (Printf.sprintf "%s verdict %d" (Fault.to_string fault) v) want ok;
+          Alcotest.(check bool) "crashed nodes never checked" (not (Network.crashed net v)) (ran.(v) || Network.missed net v))
+        verdicts;
+      Alcotest.(check bool) "decide = conjunction" (List.for_all Fun.id verdicts) (Network.decide net out))
+    [ Fault.none; Fault.drop_only 0.2; Fault.crash_only 0.4; Fault.crash_only ~crash_mode:Fault.Crash_vacuous 0.4 ]
+
 (* --- GNI honors the fault layer's decision semantics --------------------------- *)
 
 (* Regression: GNI's repetition loop used to compute acceptance from the
@@ -490,6 +538,8 @@ let suite =
         Alcotest.test_case "crash set deterministic" `Quick test_crash_set_deterministic;
         Alcotest.test_case "drop rejects or defaults" `Quick test_drop_rejects_or_defaults;
         Alcotest.test_case "dropped challenge rejects" `Quick test_dropped_challenge_rejects;
+        Alcotest.test_case "challenge_at = array challenge slot" `Quick test_challenge_at_matches_array;
+        Alcotest.test_case "verdict rules" `Quick test_verdict_rules;
         Alcotest.test_case "GNI completeness degrades under drop" `Slow test_gni_drop_degrades;
         Alcotest.test_case "GNI crash modes honored" `Slow test_gni_crash_modes;
         Alcotest.test_case "corrupt hooks always change the value" `Quick

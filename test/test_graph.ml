@@ -48,6 +48,17 @@ let prop_bitset_list_roundtrip =
       let sorted = List.sort_uniq Stdlib.compare xs in
       Bitset.to_list (Bitset.of_list 64 xs) = sorted)
 
+let prop_bitset_fold_right =
+  QCheck.Test.make ~name:"bitset fold_right = List.fold_right over to_list" ~count:200
+    QCheck.(list_of_size (QCheck.Gen.int_bound 40) (int_bound 199))
+    (fun xs ->
+      List.for_all
+        (fun s ->
+          Bitset.fold_right (fun x acc -> x :: acc) s [] = Bitset.to_list s
+          && Bitset.fold_right (fun x acc -> (acc * 31) + x) s 7
+             = List.fold_right (fun x acc -> (acc * 31) + x) (Bitset.to_list s) 7)
+        [ Bitset.of_list 200 xs; Bitset.of_list_sparse 200 xs ])
+
 let test_bitset_sparse_mirrors_dense () =
   (* The sparse representation must answer every query identically. *)
   let rng = Rng.create 21 in
@@ -347,6 +358,57 @@ let test_tree_validation_catches_forgery () =
   Alcotest.(check bool) "non-edge parent" false
     (Spanning_tree.is_valid g { t with Spanning_tree.parent = bad_parent })
 
+(* The Stdlib.Queue search that Spanning_tree.bfs replaced, as the oracle
+   for its labels. *)
+let queue_bfs g root =
+  let n = Graph.n g in
+  let parent = Array.make n (-1) and dist = Array.make n (-1) in
+  parent.(root) <- root;
+  dist.(root) <- 0;
+  let queue = Queue.create () in
+  Queue.add root queue;
+  while not (Queue.is_empty queue) do
+    let v = Queue.pop queue in
+    Bitset.iter
+      (fun u ->
+        if dist.(u) < 0 then begin
+          dist.(u) <- dist.(v) + 1;
+          parent.(u) <- v;
+          Queue.add u queue
+        end)
+      (Graph.neighbors g v)
+  done;
+  (parent, dist)
+
+let test_bfs_order () =
+  let rng = Rng.create 31 in
+  let graphs =
+    [ ("dense gnp", Graph.random_connected_gnp rng 40 0.2, 7);
+      ("dense expander", Family.expander ~repr:Graph.Dense (Rng.create 5) ~n:64 ~degree:6, 0);
+      ("sparse expander", Family.expander ~repr:Graph.Sparse (Rng.create 6) ~n:500 ~degree:4, 499);
+      ("sparse path", Graph.path ~repr:Graph.Sparse 30, 12);
+      ("single", Graph.make 1, 0)
+    ]
+  in
+  List.iter
+    (fun (name, g, root) ->
+      let t, order = Spanning_tree.bfs_order g root in
+      let parent, dist = queue_bfs g root in
+      Alcotest.(check (array int)) (name ^ ": parent = queue search") parent t.Spanning_tree.parent;
+      Alcotest.(check (array int)) (name ^ ": dist = queue search") dist t.Spanning_tree.dist;
+      Alcotest.(check bool) (name ^ ": bfs = bfs_order") true (Spanning_tree.bfs g root = t);
+      Alcotest.(check int) (name ^ ": order starts at the root") root order.(0);
+      Alcotest.(check (list int))
+        (name ^ ": order is a permutation")
+        (List.init (Graph.n g) Fun.id)
+        (List.sort compare (Array.to_list order));
+      Array.iteri
+        (fun j v ->
+          if j > 0 then
+            Alcotest.(check bool) (name ^ ": dist non-decreasing") true (dist.(order.(j - 1)) <= dist.(v)))
+        order)
+    graphs
+
 (* --- families ---------------------------------------------------------------- *)
 
 let test_random_asymmetric () =
@@ -442,6 +504,7 @@ let suite =
         Alcotest.test_case "set operations" `Quick test_bitset_set_ops;
         Alcotest.test_case "sparse mirrors dense" `Quick test_bitset_sparse_mirrors_dense;
         qtest prop_bitset_list_roundtrip;
+        qtest prop_bitset_fold_right;
         qtest prop_bitset_equal_total
       ] );
     ( "graph",
@@ -481,7 +544,8 @@ let suite =
         Alcotest.test_case "bfs shortest distances" `Quick test_bfs_distances_are_shortest;
         Alcotest.test_case "disconnected rejected" `Quick test_bfs_disconnected_rejected;
         Alcotest.test_case "subtrees and children" `Quick test_subtree_partition;
-        Alcotest.test_case "validation catches forgery" `Quick test_tree_validation_catches_forgery
+        Alcotest.test_case "validation catches forgery" `Quick test_tree_validation_catches_forgery;
+        Alcotest.test_case "bfs order and labels" `Quick test_bfs_order
       ] );
     ( "family",
       [ Alcotest.test_case "random asymmetric" `Quick test_random_asymmetric;

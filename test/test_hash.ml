@@ -164,8 +164,9 @@ let test_powers_consistency () =
    points plus the edge points 0 and 1, sizes around powers of two (where
    the table split point moves), the first and last rows, and a row that
    always holds column n - 1 (the largest exponent, n). A small prime
-   makes powers wrap well inside the tables. *)
-let prop_row_hash_table =
+   makes powers wrap well inside the tables. The evaluator gets the row's
+   open neighbourhood and two copies of the table, written at offset 1. *)
+let prop_closed_row_terms =
   let sizes = [ 1; 2; 3; 5 ] @ List.concat_map (fun j -> [ (1 lsl j) - 1; 1 lsl j; (1 lsl j) + 1 ]) [ 2; 3; 6; 10 ] in
   let fields = [ ("int 101", Field.int_field 101); ("int", Field.int_field 2147483647); ("int62", f62) ] in
   let gen =
@@ -183,14 +184,23 @@ let prop_row_hash_table =
       last_row
       (String.concat ";" (List.map string_of_int extra))
   in
-  QCheck.Test.make ~name:"row_hash_table = row_hash (int and int62)" ~count:300 (QCheck.make ~print gen)
+  QCheck.Test.make ~name:"closed_row_terms = row_hash (int and int62)" ~count:300 (QCheck.make ~print gen)
     (fun (fi, n, pick, seed, last_row, extra) ->
       let _, f = List.nth fields fi in
       let a = match pick with 0 -> f.Field.zero | 1 -> f.Field.one | _ -> f.Field.random (Rng.create seed) in
       let t = Linear.row_table f a ~n in
       let row = if last_row then n - 1 else 0 in
+      let rows = Linear.closed_rows f [| t; t |] in
       List.for_all
-        (fun s -> Linear.row_hash_table f t ~row s = Linear.row_hash f a ~n ~row s)
+        (fun s ->
+          let nbrs = Bitset.copy s in
+          Bitset.remove nbrs row;
+          let closed = Bitset.copy nbrs in
+          Bitset.add closed row;
+          let out = Array.make 3 f.Field.zero in
+          Linear.closed_row_terms rows ~row nbrs out 1;
+          let want = Linear.row_hash f a ~n ~row closed in
+          out = [| f.Field.zero; want; want |])
         [ Bitset.of_list n ((n - 1) :: extra); Bitset.of_list_sparse n ((n - 1) :: extra); Bitset.create n ]
       && List.for_all
            (fun e -> Linear.split_pow f (Linear.split_powers f a (n * n)) e = f.Field.pow_int a e)
@@ -318,7 +328,7 @@ let suite =
         Alcotest.test_case "automorphism invariance" `Quick test_graph_hash_automorphism_invariance;
         Alcotest.test_case "collision rate within bound" `Quick test_collision_rate_within_bound;
         Alcotest.test_case "power-table consistency" `Quick test_powers_consistency;
-        qtest prop_row_hash_table;
+        qtest prop_closed_row_terms;
         Alcotest.test_case "linearity (nat)" `Quick test_linearity_nat;
         Alcotest.test_case "automorphism invariance (nat)" `Quick test_nat_automorphism_invariance
       ] );

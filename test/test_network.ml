@@ -198,6 +198,75 @@ let prop_cost_max_per_node_upper_bound =
       done;
       !bounds && !attained)
 
+(* Uniform charges are two scalars and the per-node arrays appear on the
+   first per-node charge; against a plain per-node reference ledger, every
+   accessor must agree after any interleaving of the two kinds. *)
+type charge = All_to of int | All_from of int | To of int * int | From of int * int
+
+let arb_mixed_charges =
+  let open QCheck.Gen in
+  let bits = int_bound 1000 and node = int_bound 7 in
+  QCheck.make
+    ~print:(fun cs -> string_of_int (List.length cs) ^ " charges")
+    (list_size (int_bound 30)
+       (oneof
+          [ map (fun b -> All_to b) bits;
+            map (fun b -> All_from b) bits;
+            map2 (fun v b -> To (v, b)) node bits;
+            map2 (fun v b -> From (v, b)) node bits
+          ]))
+
+let prop_cost_uniform_matches_dense =
+  QCheck.Test.make ~name:"cost: uniform + per-node charges = dense reference" ~count:300 arb_mixed_charges
+    (fun charges ->
+      let n = 8 in
+      let c = Cost.create n and c' = Cost.create n in
+      let up = Array.make n 0 and down = Array.make n 0 in
+      List.iter
+        (function
+          | All_to b ->
+            Cost.charge_all_to_prover c b;
+            Array.iteri (fun v x -> up.(v) <- x + b) up;
+            for v = 0 to n - 1 do
+              Cost.charge_to_prover c' v b
+            done
+          | All_from b ->
+            Cost.charge_all_from_prover c b;
+            Array.iteri (fun v x -> down.(v) <- x + b) down;
+            for v = 0 to n - 1 do
+              Cost.charge_from_prover c' v b
+            done
+          | To (v, b) ->
+            Cost.charge_to_prover c v b;
+            Cost.charge_to_prover c' v b;
+            up.(v) <- up.(v) + b
+          | From (v, b) ->
+            Cost.charge_from_prover c v b;
+            Cost.charge_from_prover c' v b;
+            down.(v) <- down.(v) + b)
+        charges;
+      let total = Array.fold_left ( + ) 0 up + Array.fold_left ( + ) 0 down in
+      let node v = up.(v) + down.(v) in
+      List.for_all
+        (fun v -> Cost.to_prover c v = up.(v) && Cost.from_prover c v = down.(v) && Cost.node_total c v = node v)
+        (List.init n Fun.id)
+      && Cost.n c = n
+      && Cost.total c = total
+      && Cost.max_per_node c = List.fold_left max 0 (List.init n node)
+      && Cost.max_from_prover c = Array.fold_left max 0 down
+      && Cost.equal c c'
+      && Cost.equal c' c
+      && Cost.equal c (Cost.create n) = (total = 0))
+
+let test_cost_equal () =
+  let a = Cost.create 3 and b = Cost.create 3 in
+  Cost.charge_all_from_prover a 4;
+  List.iter (fun v -> Cost.charge_from_prover b v 4) [ 0; 1; 2 ];
+  Alcotest.(check bool) "uniform = per-node" true (Cost.equal a b);
+  Cost.charge_to_prover b 2 1;
+  Alcotest.(check bool) "one bit apart" false (Cost.equal a b);
+  Alcotest.(check bool) "sizes differ" false (Cost.equal (Cost.create 2) (Cost.create 3))
+
 let test_cost_negative_charge_raises () =
   Alcotest.check_raises "to_prover" (Invalid_argument "Cost.charge_to_prover: negative bits")
     (fun () -> Cost.charge_to_prover (Cost.create 2) 0 (-1));
@@ -217,7 +286,9 @@ let suite =
         Alcotest.test_case "negative charge raises" `Quick test_cost_negative_charge_raises;
         qtest prop_cost_total_is_sum;
         qtest prop_cost_invariants;
-        qtest prop_cost_max_per_node_upper_bound
+        qtest prop_cost_max_per_node_upper_bound;
+        qtest prop_cost_uniform_matches_dense;
+        Alcotest.test_case "equal" `Quick test_cost_equal
       ] );
     ( "network",
       [ Alcotest.test_case "challenge charges + determinism" `Quick test_challenge_charges_and_determinism;

@@ -13,6 +13,7 @@ open Ids_graph
 module Rng = Ids_bignum.Rng
 module Network = Ids_network.Network
 module Fault = Ids_network.Fault
+module Cost = Ids_network.Cost
 module Apihash = Ids_proof.Apihash
 module Dsym = Ids_proof.Dsym
 module Gni = Ids_proof.Gni
@@ -158,13 +159,13 @@ let test_streaming_matches_arrays () =
       let tag = Fault.to_string fault in
       let ta = Network.create ~fault ~seed:99 g in
       let tf = Network.create ~fault ~seed:99 g in
-      (* Challenge round: same draws, same missed flags. *)
+      (* Challenge round: the kept draw, the missed flags and the stream
+         state after the round all match the array form. *)
       let ca = Network.challenge ta ~bits:7 (fun rng -> Rng.bits rng 7) in
-      let cf =
-        fold_to_array tf (fun f ->
-            Network.challenge_fold tf ~bits:7 ~gen:(fun rng -> Rng.bits rng 7) ~init:() f)
-      in
-      checkb (tag ^ ": challenge draws equal") true (ca = cf);
+      let cf = Network.challenge_at tf ~bits:7 ~node:23 (fun rng -> Rng.bits rng 7) in
+      checkb (tag ^ ": challenge draw equal") true (ca.(23) = cf);
+      checkb (tag ^ ": stream state equal") true
+        (Rng.next_int64 (Network.rng ta) = Rng.next_int64 (Network.rng tf));
       (* Unicast round with a corrupt hook and no on_drop. *)
       let payload = Array.init (Graph.n g) (fun v -> (v * 37) land 127) in
       let ua = Network.unicast ta ~corrupt:(Fault.flip_int_bit ~bits:7) ~bits:7 payload in
@@ -183,7 +184,7 @@ let test_streaming_matches_arrays () =
       in
       checkb (tag ^ ": broadcast deliveries equal") true (ba = bf);
       checkb (tag ^ ": missed flags equal") true (Network.take_missed ta = Network.take_missed tf);
-      checkb (tag ^ ": cost ledgers equal") true (Network.cost ta = Network.cost tf))
+      checkb (tag ^ ": cost ledgers equal") true (Cost.equal (Network.cost ta) (Network.cost tf)))
     [ Fault.none;
       Fault.drop_only 0.2;
       Fault.corrupt_only 0.3;
@@ -265,6 +266,57 @@ let test_apihash_fault_pins () =
         true
         (Apihash.run ~fault ~seed ~root:0 g = want))
     apihash_fault_pins
+
+(* The chunked passes against domain count and chunk size: on the fault
+   pins' graph, every prover and fault kind gives one Outcome for
+   domains 1, 2 and 4 (chunks of 16 nodes, so 13 ranges spread over the
+   domains) and for the single default-size range. *)
+let test_apihash_domain_invariance () =
+  let g = Family.expander ~repr:Graph.Sparse (Rng.create 3) ~n:200 ~degree:4 in
+  let vacuous = Fault.crash_only ~crash_mode:Fault.Crash_vacuous in
+  let provers =
+    [ ("honest", Apihash.honest);
+      ("wrong claim", Apihash.adversary_wrong_claim);
+      ("corrupt agg", Apihash.adversary_corrupt_agg 57)
+    ]
+  and faults =
+    [ Fault.none; Fault.drop_only 0.05; Fault.corrupt_only 0.05; Fault.crash_only 0.05; vacuous 0.05;
+      Fault.equivocate_only; Fault.make ~drop:0.01 ~corrupt:0.01 ~crash:0.02 ~equivocate:true ()
+    ]
+  in
+  List.iter
+    (fun (pname, prover) ->
+      List.iter
+        (fun fault ->
+          List.iter
+            (fun seed ->
+              let want = Apihash.run ~fault ~prover ~seed ~root:0 g in
+              List.iter
+                (fun domains ->
+                  checkb
+                    (Printf.sprintf "%s, %s, seed %d: domains=%d" pname (Fault.to_string fault) seed domains)
+                    true
+                    (Apihash.run ~fault ~prover ~domains ~chunk:16 ~seed ~root:0 g = want))
+                [ 1; 2; 4 ])
+            [ 1; 2; 3 ])
+        faults)
+    provers;
+  (* The default prover follows the run's domains and chunk. *)
+  List.iter
+    (fun domains ->
+      checkb (Printf.sprintf "default prover, domains=%d" domains) true
+        (Apihash.run ~domains ~chunk:7 ~seed:4 ~root:9 g = Apihash.run ~prover:Apihash.honest ~seed:4 ~root:9 g))
+    [ 1; 2; 4 ];
+  let params = Apihash.params_for ~seed:5 g in
+  let spec = Ids_hash.Api.random_spec params.Apihash.field ~k:params.Apihash.copies (Rng.create 6) in
+  let want = Apihash.honest_advice ~domains:1 params spec ~root:3 g in
+  List.iter
+    (fun (domains, chunk) ->
+      checkb
+        (Printf.sprintf "advice, domains=%d chunk=%d" domains chunk)
+        true
+        (Apihash.honest_advice ~domains ~chunk params spec ~root:3 g = want))
+    [ (2, 16); (4, 16); (4, 1); (2, 199); (2, 200) ]
 
 (* A prover whose label or aggregate array is too short is rejected, not
    an exception: the missing slots arrive as poisoned values. *)
@@ -351,7 +403,7 @@ let test_bench_scale_shape () =
     List.iter
       (fun k -> if mem k = None then Alcotest.failf "BENCH_scale.json: missing %S" k)
       [ "degree"; "repr"; "graph_build_seconds"; "sparse6_bytes"; "pls_tree"; "apihash";
-        "apihash_q"; "apihash_copies"; "peak_rss_mb" ];
+        "apihash_q"; "apihash_copies"; "apihash_domains"; "peak_rss_mb" ];
     List.iter
       (fun proto ->
         let sub k =
@@ -378,6 +430,7 @@ let suite =
         Alcotest.test_case "apihash rejects tampered advice" `Quick test_apihash_soundness;
         Alcotest.test_case "apihash under faults" `Quick test_apihash_faults;
         Alcotest.test_case "apihash fault outcomes pinned" `Quick test_apihash_fault_pins;
+        Alcotest.test_case "apihash outcome independent of domains" `Quick test_apihash_domain_invariance;
         Alcotest.test_case "apihash rejects short advice" `Quick test_apihash_short_advice;
         Alcotest.test_case "apihash advice = per-copy oracle" `Quick test_apihash_advice_pin;
         Alcotest.test_case "apihash root validation" `Quick test_apihash_rejects_bad_root;
