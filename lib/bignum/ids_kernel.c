@@ -265,3 +265,63 @@ CAMLprim value ids_mulmod62_stub(value va, value vb, value vp)
   u128 t = (u128)(u64)Long_val(va) * (u64)Long_val(vb);
   return Val_long((long)(u64)(t % (u64)Long_val(vp)));
 }
+
+/* Montgomery product a * b * 2^-64 mod p for odd p < 2^62, a, b < p, and
+ * pneg = -p^-1 mod 2^64.  t = a*b < 2^124 and m*p < 2^126, so t + m*p fits
+ * the u128; the shifted sum is below p^2/2^64 + p < 2p, hence one
+ * conditional subtraction gives the canonical residue. */
+static inline u64 mont64(u64 a, u64 b, u64 p, u64 pneg)
+{
+  u128 t = (u128)a * b;
+  u64 m = (u64)t * pneg;
+  u64 r = (u64)((t + (u128)m * p) >> 64);
+  return r >= p ? r - p : r;
+}
+
+/* Layout of the row table read by ids_row_terms62 (built by
+ * Linear.closed_rows): a header, then four split power tables with the k
+ * points interleaved, entry j of point i at offset + j*k + i.  Column
+ * tables hold aR (R = 2^64), the row table's big half aR and its small
+ * half plain residues, so a column term is Montgomery-form, a row shift
+ * is plain, and their Montgomery product is the canonical term. */
+enum {
+  RT_P, RT_PNEG_LO, RT_PNEG_HI, RT_K, RT_COL_SHIFT, RT_ROW_SHIFT,
+  RT_COL_BIG, RT_ROW_SMALL, RT_ROW_BIG, /* offsets of three tables */
+  RT_COL_SMALL /* the header's length: the column small table follows it */
+};
+
+#define RT(i) ((u64)Long_val(Field(vtab, (i))))
+
+/* out[pos + i] = (a_i^n)^row * sum_{w in {row} + elts[0 .. count-1]}
+ * a_i^(w+1) mod p for each of the table's k points.  The caller checks
+ * row, the elements and the output slice against the table's bounds. */
+CAMLprim value ids_row_terms62_stub(value vtab, value vrow, value velts, value vcount, value vout,
+                                    value vpos)
+{
+  u64 p = RT(RT_P);
+  u64 pneg = RT(RT_PNEG_LO) | (RT(RT_PNEG_HI) << 32);
+  mlsize_t k = RT(RT_K);
+  unsigned cs = RT(RT_COL_SHIFT), rs = RT(RT_ROW_SHIFT);
+  u64 cmask = ((u64)1 << cs) - 1, rmask = ((u64)1 << rs) - 1;
+  mlsize_t col_big = RT(RT_COL_BIG), row_small = RT(RT_ROW_SMALL), row_big = RT(RT_ROW_BIG);
+  u64 row = Long_val(vrow);
+  mlsize_t count = Long_val(vcount), pos = Long_val(vpos);
+  for (mlsize_t i = 0; i < k; i++) {
+    u64 e = row + 1;
+    u64 s = mont64(RT(col_big + (e >> cs) * k + i), RT(RT_COL_SMALL + (e & cmask) * k + i), p, pneg);
+    for (mlsize_t j = 0; j < count; j++) {
+      e = (u64)Long_val(Field(velts, j)) + 1;
+      s += mont64(RT(col_big + (e >> cs) * k + i), RT(RT_COL_SMALL + (e & cmask) * k + i), p, pneg);
+      if (s >= p) s -= p;
+    }
+    u64 shift = mont64(RT(row_big + (row >> rs) * k + i), RT(row_small + (row & rmask) * k + i), p, pneg);
+    Field(vout, pos + i) = Val_long((long)mont64(shift, s, p, pneg));
+  }
+  return Val_unit;
+}
+
+CAMLprim value ids_row_terms62_byte(value *argv, int argn)
+{
+  (void)argn;
+  return ids_row_terms62_stub(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5]);
+}

@@ -27,6 +27,10 @@ external mont_redc : int array -> int -> int array -> int array -> unit
 
 external mulmod62 : int -> int -> int -> int = "ids_mulmod62_stub" [@@noalloc]
 
+external row_terms62 : int array -> int -> int array -> int -> int array -> int -> unit
+  = "ids_row_terms62_byte" "ids_row_terms62_stub"
+[@@noalloc]
+
 (* The C side sizes its stack buffers for la + lb <= 1024 limbs; Nat's
    dispatch splits larger operands before reaching the base kernel, so this
    cap is a contract, not a tunable. *)

@@ -26,6 +26,18 @@ val mont_redc : int array -> int -> int array -> int array -> unit
 val mulmod62 : int -> int -> int -> int
 (** [mulmod62 a b p] = [a * b mod p] for [0 <= a, b < p < 2^62]. *)
 
+external row_terms62 : int array -> int -> int array -> int -> int array -> int -> unit
+  = "ids_row_terms62_byte" "ids_row_terms62_stub"
+[@@noalloc]
+(** [row_terms62 tab row elts count out pos] writes the [k] closed row
+    terms of [row] with open neighbours [elts.(0 .. count - 1)] into
+    [out.(pos .. pos + k - 1)], from a Montgomery row table ([R = 2^64],
+    odd modulus) laid out as ids_kernel.c describes. Only
+    [Ids_hash.Linear.closed_rows] builds such tables, and
+    [Ids_hash.Linear.closed_row_terms] checks every index first: the
+    kernel itself checks none. There is no OCaml fallback; like
+    {!mulmod62} it ignores [IDS_BIGNUM_KERNEL]. *)
+
 val mul_cap : int
 (** Operand-size ceiling ([la + lb]) for [nat_mul]/[nat_sqr]; fixed by the
     C stack buffers. *)

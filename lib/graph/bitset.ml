@@ -31,6 +31,10 @@ let create_like t =
 
 let is_sparse = function Dense _ -> false | Sparse _ -> true
 
+let sparse_elements = function
+  | Sparse s -> s.elts
+  | Dense _ -> invalid_arg "Bitset.sparse_elements: dense set"
+
 let check t i = if i < 0 || i >= capacity t then invalid_arg "Bitset: index out of range"
 
 (* Position of [i] in s.elts, or the insertion point encoded as [-(pos+1)]. *)

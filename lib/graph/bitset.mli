@@ -24,6 +24,13 @@ val create_like : t -> t
 
 val is_sparse : t -> bool
 
+val sparse_elements : t -> int array
+(** The element array of a sparse set, shared, not copied: its first
+    [cardinal s] slots are the members in increasing order, and any later
+    slots are unused. Read-only — writing to it corrupts the set — and
+    only valid until the set is next modified.
+    @raise Invalid_argument on a dense set. *)
+
 val capacity : t -> int
 
 val mem : t -> int -> bool

@@ -92,32 +92,68 @@ let row_table f a ~n =
   let cols = split_powers f a n in
   { n; cols; rows = split_powers f (split_pow f cols n) (n - 1) }
 
-(* Closed row terms at several points in one pass over the row. The
-   scratch and the per-column step are allocated once per evaluator, so a
-   pass over many rows allocates nothing per row. Every term is a
-   canonical residue, so starting each sum at the row's own column is the
-   same field element as folding the closed set. *)
-type 'a closed_rows = { field : 'a Field.t; tables : 'a row_table array; terms : 'a array; add_col : int -> unit }
+(* Closed row terms at several points, one C call per row
+   (Kernel.row_terms62). The tables of all points are flattened into one
+   int array with the points interleaved, and pre-multiplied into
+   Montgomery form (R = 2^64): column entries and the row shifts' big half
+   as aR, the row shifts' small half plain. A column power is then the
+   Montgomery product aR, the row shift a plain residue, and their product
+   the canonical term. The header matches the enum in ids_kernel.c. *)
+type closed_rows = { order : int; points : int; tab : int array }
 
-let closed_rows f tables =
+let header = 9
+
+let closed_rows (f : int Field.t) tables =
+  let p = f.Field.size in
+  if p land 1 = 0 then invalid_arg "Linear.closed_rows: even modulus";
   let k = Array.length tables in
-  let terms = Array.make k f.Field.zero in
-  let add_col w =
-    for i = 0 to k - 1 do
-      terms.(i) <- f.Field.add terms.(i) (split_pow f tables.(i).cols (w + 1))
-    done
+  if k = 0 then invalid_arg "Linear.closed_rows: no tables";
+  let n = tables.(0).n in
+  if Array.exists (fun (t : int row_table) -> t.n <> n) tables then
+    invalid_arg "Linear.closed_rows: tables for different n";
+  (* -p^-1 mod 2^64 by Newton's iteration (p * p = 1 mod 8 gives 3 bits,
+     each step doubles them), split in two halves for the 63-bit ints. *)
+  let p64 = Int64.of_int p in
+  let inv = ref p64 in
+  for _ = 1 to 5 do
+    inv := Int64.mul !inv (Int64.sub 2L (Int64.mul p64 !inv))
+  done;
+  let pneg = Int64.neg !inv in
+  (* R mod p = 2^62 * 4 mod p; max_int = 2^62 - 1. *)
+  let mulmod a b = Ids_bignum.Kernel.mulmod62 a b p in
+  let r = mulmod (((max_int mod p) + 1) mod p) (4 mod p) in
+  let mont x = mulmod x r in
+  (* Point i's four tables in layout order, each with its conversion. *)
+  let parts (t : int row_table) =
+    [| (t.cols.small, mont); (t.cols.big, mont); (t.rows.small, Fun.id); (t.rows.big, mont) |]
   in
-  { field = f; tables; terms; add_col }
+  let off = Array.make 5 header in
+  Array.iteri (fun j (src, _) -> off.(j + 1) <- off.(j) + (k * Array.length src)) (parts tables.(0));
+  let tab = Array.make off.(4) 0 in
+  tab.(0) <- p;
+  tab.(1) <- Int64.to_int (Int64.logand pneg 0xFFFF_FFFFL);
+  tab.(2) <- Int64.to_int (Int64.shift_right_logical pneg 32);
+  tab.(3) <- k;
+  tab.(4) <- tables.(0).cols.shift;
+  tab.(5) <- tables.(0).rows.shift;
+  tab.(6) <- off.(1);
+  tab.(7) <- off.(2);
+  tab.(8) <- off.(3);
+  Array.iteri
+    (fun i t ->
+      Array.iteri (fun j (src, conv) -> Array.iteri (fun e x -> tab.(off.(j) + (e * k) + i) <- conv x) src) (parts t))
+    tables;
+  { order = n; points = k; tab }
 
 let closed_row_terms c ~row nbrs out pos =
-  let f = c.field and k = Array.length c.tables in
-  if pos < 0 || pos + k > Array.length out then invalid_arg "Linear.closed_row_terms: output slice out of range";
-  for i = 0 to k - 1 do
-    let t = c.tables.(i) in
-    if row < 0 || row >= t.n then invalid_arg "Linear.closed_row_terms: row out of range";
-    c.terms.(i) <- split_pow f t.cols (row + 1)
-  done;
-  Bitset.iter c.add_col nbrs;
-  for i = 0 to k - 1 do
-    out.(pos + i) <- f.Field.mul (split_pow f c.tables.(i).rows row) c.terms.(i)
-  done
+  if pos < 0 || pos + c.points > Array.length out then invalid_arg "Linear.closed_row_terms: output slice out of range";
+  if row < 0 || row >= c.order then invalid_arg "Linear.closed_row_terms: row out of range";
+  (* Every member is below the capacity, so its exponent w + 1 <= n is
+     inside the column tables. *)
+  if Bitset.capacity nbrs > c.order then invalid_arg "Linear.closed_row_terms: set capacity above n";
+  if Bitset.is_sparse nbrs then
+    Ids_bignum.Kernel.row_terms62 c.tab row (Bitset.sparse_elements nbrs) (Bitset.cardinal nbrs) out pos
+  else begin
+    let elts = Array.of_list (Bitset.to_list nbrs) in
+    Ids_bignum.Kernel.row_terms62 c.tab row elts (Array.length elts) out pos
+  end

@@ -95,21 +95,28 @@ type 'a row_table
 val row_table : 'a Field.t -> 'a -> n:int -> 'a row_table
 (** @raise Invalid_argument if [n < 1]. *)
 
-type 'a closed_rows
-(** An evaluator of closed-neighbourhood row terms at several points at
-    once, with its scratch allocated up front: one per domain, reused for
-    every row of a pass. *)
+type closed_rows
+(** An immutable evaluator of closed-neighbourhood row terms at several
+    points at once, for the native int fields ({!Field.int_field},
+    {!Field.int62_field}): every point's tables flattened into one array
+    in Montgomery form, read by one C call per row
+    ({!Ids_bignum.Kernel.row_terms62}). Build one per spec and share it
+    read-only between domains. *)
 
-val closed_rows : 'a Field.t -> 'a row_table array -> 'a closed_rows
-(** An evaluator for the points of the given tables, in order. *)
+val closed_rows : int Field.t -> int row_table array -> closed_rows
+(** An evaluator for the points of the given tables, in order, with
+    arithmetic mod [f.size].
+    @raise Invalid_argument if the modulus is even, there are no tables,
+    or they were built for different [n]. *)
 
-val closed_row_terms : 'a closed_rows -> row:int -> Ids_graph.Bitset.t -> 'a array -> int -> unit
+val closed_row_terms : closed_rows -> row:int -> Ids_graph.Bitset.t -> int array -> int -> unit
 (** [closed_row_terms c ~row nbrs out pos] writes, for the [i]-th table,
     built at point [a], [row_hash f a ~n ~row (nbrs ∪ {row})] into
     [out.(pos + i)] — bit-identical for a canonical [a] — for a set [nbrs]
-    within [\[0, n)] that does not contain [row]: a graph row, whose closed
-    neighbourhood it hashes in one pass over the row, with [1 + |nbrs|]
-    multiplications per point beyond the lookups, without copying the row
-    and without allocating.
-    @raise Invalid_argument if [row] is out of [\[0, n)] or the slice does
-    not fit in [out]. *)
+    of capacity at most [n] that does not contain [row]: a graph row,
+    whose closed neighbourhood it hashes with [2 + |nbrs|] Montgomery
+    multiplications per point. A sparse row is read in place
+    ({!Ids_graph.Bitset.sparse_elements}) and nothing is allocated; a
+    dense row's members are copied into a fresh array first.
+    @raise Invalid_argument if [row] is out of [\[0, n)], [nbrs] has a
+    capacity above [n], or the slice does not fit in [out]. *)

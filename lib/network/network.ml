@@ -204,92 +204,64 @@ let broadcast_consistent_at ?(equal = fun a b -> a = b) t values v =
     (Graph.neighbors t.graph v);
   !ok
 
-(* --- streamed per-node views ----------------------------------------------
+(* --- rounds that report changed copies ------------------------------------
 
    The array primitives above materialize one slot per node, which is fine
-   for the paper's small instances but holds every node's challenge or
-   response live for the whole round. The folds below visit nodes 0..n-1 in
-   order, build each node's view on demand (its graph row is shared, not
-   copied — O(degree) resident for sparse-backed graphs), apply the fault
-   layer per node, and release the view before moving on. Fault decisions
-   come from streams keyed by (seed, round, node), as in the array
-   primitives, so a protocol computing the same function over a streamed
-   round is bit-identical to the array form. *)
+   for the paper's small instances but holds every node's response live for
+   the whole round. The rounds below keep the value sent and return only the
+   (node, copy) pairs the fault layer changed, in node order. With no fault
+   layer nothing can change, so a round charges the ledger, advances the
+   round counter and visits no node. Under faults it visits nodes 0..n-1 and
+   draws every decision from the streams keyed by (seed, round, node) that
+   the array primitives use, so both forms deliver the same copies and
+   leave the same missed flags. *)
 
-type 'c node_view = {
-  node : int;
-  degree : int;
-  neighbors : Ids_graph.Bitset.t;
-  value : 'c;
-  dropped : bool;
-}
-
-let make_view t v value ~dropped =
-  let nbrs = Graph.neighbors t.graph v in
-  { node = v; degree = Bitset.cardinal nbrs; neighbors = nbrs; value; dropped }
-
-let view t v = make_view t v () ~dropped:false
-
-let fold_views t ~init f =
-  let acc = ref init in
-  for v = 0 to n t - 1 do
-    acc := f !acc (view t v)
-  done;
-  !acc
-
-(* Shared per-node delivery for the streamed response rounds. The
-   equivocation victim (broadcast only) is resolved up front from the same
-   keyed stream the array path uses, then applied to the victim's delivered
-   copy — drop/corrupt and the equivocation attack compose exactly as in
-   [apply_faults]. *)
-let response_fold t ?corrupt ?on_drop ~equivocable ~bits ~respond ~init f =
+let response_changes t ?corrupt ?on_drop ~equivocable ~bits respond =
   let round = next_round t in
   charge_live_from_prover t ~round bits;
-  let fround = match t.fault with None -> 0 | Some fl -> Fault.next_round fl in
-  let equiv =
-    match t.fault with
-    | Some fl when equivocable -> (
-      match (corrupt, Fault.equivocation fl ~round:fround ~n:(n t)) with
-      | Some c, Some (victim, rng) -> Some (victim, c, rng)
-      | _ -> None)
-    | _ -> None
-  in
-  let acc = ref init in
-  for v = 0 to n t - 1 do
-    let sent = respond v in
-    let delivered, dropped =
-      match t.fault with
-      | None -> (sent, false)
-      | Some fl -> (
-        Obs.Counter.add_cell c_fault_decisions ~round ~node:v 1;
+  match t.fault with
+  | None -> []
+  | Some fl ->
+    let fround = Fault.next_round fl in
+    (* The equivocation victim (broadcast only) comes from the same keyed
+       stream as in [apply_faults] and is hit after its regular delivery. *)
+    let equiv =
+      match corrupt with
+      | Some c when equivocable ->
+        Option.map (fun (victim, rng) -> (victim, c, rng)) (Fault.equivocation fl ~round:fround ~n:(n t))
+      | _ -> None
+    in
+    let changes = ref [] in
+    for v = 0 to n t - 1 do
+      let sent = respond v in
+      Obs.Counter.add_cell c_fault_decisions ~round ~node:v 1;
+      let delivered =
         match Fault.deliver fl ~round:fround ~node:v ?corrupt sent with
-        | Fault.Delivered x -> (x, false)
+        | Fault.Delivered x -> x
         | Fault.Dropped -> (
           Obs.Counter.add_cell c_fault_drops ~round ~node:v 1;
           match on_drop with
-          | Some d -> (d, true)
+          | Some d -> d
           | None ->
             mark_missed t v;
-            (sent, true)))
-    in
-    let delivered =
-      match equiv with
-      | Some (victim, c, rng) when victim = v -> c rng delivered
-      | _ -> delivered
-    in
-    acc := f !acc (make_view t v delivered ~dropped)
-  done;
-  !acc
+            sent)
+      in
+      let delivered =
+        match equiv with Some (victim, c, rng) when victim = v -> c rng delivered | _ -> delivered
+      in
+      if delivered != sent && delivered <> sent then changes := (v, delivered) :: !changes
+    done;
+    List.rev !changes
 
-let unicast_fold t ?corrupt ?on_drop ~bits ~respond ~init f =
+let unicast_changes t ?corrupt ?on_drop ~bits respond =
   Obs.span ~round:(current_round t + 1) "net.unicast" (fun () ->
       if Obs.enabled () then Obs.Histo.observe h_msg_bits bits;
-      response_fold t ?corrupt ?on_drop ~equivocable:false ~bits ~respond ~init f)
+      response_changes t ?corrupt ?on_drop ~equivocable:false ~bits respond)
 
-let broadcast_fold t ?corrupt ?on_drop ~bits value ~init f =
+let broadcast_changes t ?corrupt ?on_drop ~bits value =
   Obs.span ~round:(current_round t + 1) "net.broadcast" (fun () ->
       if Obs.enabled () then Obs.Histo.observe h_msg_bits bits;
-      response_fold t ?corrupt ?on_drop ~equivocable:true ~bits ~respond:(fun _ -> value) ~init f)
+      response_changes t ?corrupt ?on_drop ~equivocable:true ~bits (fun _ -> value))
 
 let verdict t out v =
   if crashed t v then

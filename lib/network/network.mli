@@ -113,63 +113,45 @@ val broadcast_consistent_at : ?equal:('r -> 'r -> bool) -> t -> 'r array -> int 
     a structural mismatch between semantically equal copies would make an
     honest broadcast look like an equivocation and destroy completeness. *)
 
-(** {2 Streamed per-node views}
+(** {2 Rounds that report changed copies}
 
     The array primitives above hold one slot per node for the whole round;
     at n = 10⁶ that is the difference between O(n) resident protocol state
-    and none at all. The folds below visit nodes [0 .. n-1] in order, build
-    each node's {!node_view} on demand and release it before the next node:
-    the view's [neighbors] field is the graph's own row (shared, never
-    copied), so resident memory per in-flight node is O(degree) for
-    sparse-backed graphs. Fault decisions come from streams keyed by
-    [(seed, round, node)], exactly as in the array primitives, so a protocol computing the same function over
-    a streamed round is bit-identical to its array form (pinned by the
-    equivalence tests). *)
+    and none at all. The rounds below keep the value sent and return only
+    the [(node, copy)] pairs, in increasing node order, whose delivered copy
+    differs from it. With no fault layer that list is empty: the round
+    charges the ledger (and, when tracing, the per-node bit cells), advances
+    the round counter, and visits no node. Under faults, fault decisions
+    come from streams keyed by [(seed, round, node)], exactly as in the
+    array primitives, so the copies, the missed flags and the ledger equal
+    the array form's (pinned by the equivalence tests). A copy changed when
+    it differs from the value sent under polymorphic equality, so the
+    payload must be plain data (ints, and records and arrays of them),
+    not closures or abstract values with several representations. *)
 
-type 'c node_view = {
-  node : int;
-  degree : int;
-  neighbors : Ids_graph.Bitset.t;  (** The graph's own row; do not mutate. *)
-  value : 'c;  (** This node's delivered payload. *)
-  dropped : bool;  (** The fault layer dropped this node's message. *)
-}
-
-val view : t -> int -> unit node_view
-(** On-demand view of one node, outside any channel round. *)
-
-val fold_views : t -> init:'a -> ('a -> unit node_view -> 'a) -> 'a
-(** Fold the pure views of all nodes in ascending order; no channel round,
-    no charge, no rng consumption. *)
-
-
-val unicast_fold :
+val unicast_changes :
   t ->
   ?corrupt:(Ids_bignum.Rng.t -> 'r -> 'r) ->
   ?on_drop:'r ->
   bits:int ->
-  respond:(int -> 'r) ->
-  init:'a ->
-  ('a -> 'r node_view -> 'a) ->
-  'a
-(** Streamed Merlin unicast round: [respond v] produces node [v]'s message
-    on demand (the prover side of the stream), the fault layer applies per
-    node, and the delivered value reaches the fold in the view. With no
-    [on_drop], a dropped node is marked missed and its view carries the
-    undelivered value with [dropped = true]. *)
+  (int -> 'r) ->
+  (int * 'r) list
+(** [unicast_changes t ~bits respond] is a Merlin unicast round: under
+    faults, [respond v] produces node [v]'s message on demand and the
+    fault layer applies per node, as in {!unicast}; without faults
+    [respond] is never called. A drop with no [on_drop] marks the node
+    missed and leaves its copy unchanged. *)
 
-val broadcast_fold :
+val broadcast_changes :
   t ->
   ?corrupt:(Ids_bignum.Rng.t -> 'r -> 'r) ->
   ?on_drop:'r ->
   bits:int ->
   'r ->
-  init:'a ->
-  ('a -> 'r node_view -> 'a) ->
-  'a
-(** Streamed honest broadcast: one value replicated to every node (the
-    moral equivalent of {!broadcast_uniform}), fault layer included —
-    drop/corrupt per node plus the equivocation victim when the spec
-    equivocates. *)
+  (int * 'r) list
+(** Honest Merlin broadcast of one value (as {!broadcast_uniform}), fault
+    layer included: drop/corrupt per node plus the equivocation victim
+    when the spec equivocates. *)
 
 val verdict : t -> (int -> bool) -> int -> bool
 (** [verdict t out v] is node [v]'s share of {!decide}: [false] if [v]

@@ -103,14 +103,14 @@ let honest_advice ?(domains = Ids_engine.Engine.default_domains ()) ?(chunk = de
   let f = params.field and k = params.copies in
   let tree, order = Spanning_tree.bfs_order g root in
   let parent = tree.Spanning_tree.parent and dist = tree.Spanning_tree.dist in
-  (* Every node's k terms into its agg slots, from its shared graph row.
+  (* Every node's k terms into its agg slots, from its shared graph row
+     and the spec's row tables, built once and read by every range.
      The BFS stays in the caller: its O(n) arrays allocated on a worker
      domain would sit in that thread's malloc arena and raise peak RSS. *)
-  let tables = row_tables f spec ~n in
+  let rows = Linear.closed_rows f (row_tables f spec ~n) in
   let agg = Array.make (n * k) f.Field.zero in
   ignore
     (over_chunks ~domains ~chunk n (fun lo hi ->
-         let rows = Linear.closed_rows f tables in
          for v = lo to hi - 1 do
            Linear.closed_row_terms rows ~row:v (Graph.neighbors g v) agg (v * k)
          done));
@@ -156,37 +156,31 @@ let response_bits_per_node f ~k n =
    cheating prover delivers poisoned values that every range check rejects. *)
 let slot a j = if j < Array.length a then a.(j) else -1
 
-(* Run one Merlin round, keeping only the nodes whose delivered copy is not
-   the one sent. Only corruption and equivocation leave entries: a drop
-   without a default delivers the sent value and marks the node missed,
-   which decide rejects on its own. *)
-let changed ~same round =
-  let tbl = Hashtbl.create 8 in
-  round (fun () (view : _ Network.node_view) ->
-      if not (same view.Network.node view.Network.value) then
-        Hashtbl.replace tbl view.Network.node view.Network.value);
-  tbl
-
-(* Node [v]'s copy of a broadcast value. *)
-let copy tbl sent v =
-  if Hashtbl.length tbl = 0 then sent else Option.value (Hashtbl.find_opt tbl v) ~default:sent
+(* Node [v]'s copy of a broadcast value, given the copies the round
+   changed. *)
+let copy changes sent =
+  match changes with
+  | [] -> Fun.const sent
+  | _ ->
+    let tbl = Hashtbl.of_seq (List.to_seq changes) in
+    fun v -> Option.value (Hashtbl.find_opt tbl v) ~default:sent
 
 (* The delivered copies of a per-node array: the sent array itself when no
    copy changed and none is missing, else a patched copy of length [len]. *)
-let delivered ~len sent tbl patch =
-  if Hashtbl.length tbl = 0 && Array.length sent >= len then sent
+let delivered ~len sent changes patch =
+  if changes = [] && Array.length sent >= len then sent
   else begin
     let out = Array.init len (slot sent) in
-    Hashtbl.iter (patch out) tbl;
+    List.iter (fun (v, x) -> patch out v x) changes;
     out
   end
 
-(* One execution, every round streamed: the Arthur round draws only the
-   root's spec, each Merlin round keeps the value sent plus the few copies
-   the fault layer changed, and the local checks run in node-range chunks
-   under Network.verdict — each node's row term comes from the root spec's
-   split tables over its shared O(degree) graph row, so no per-node view
-   outlives its visit. *)
+(* One execution: the Arthur round draws only the root's spec, each Merlin
+   round keeps the value sent plus the few copies the fault layer changed
+   (an unfaulted round visits no node), and the local checks run in
+   node-range chunks under Network.verdict — each node's row terms come
+   from the root spec's row tables, built once, over its shared O(degree)
+   graph row, so no per-node state outlives its visit. *)
 let run_body ?fault ?prover ?k ?(domains = Ids_engine.Engine.default_domains ()) ?(chunk = default_chunk) ~seed
     ~root g =
   let n = Graph.n g in
@@ -205,27 +199,14 @@ let run_body ?fault ?prover ?k ?(domains = Ids_engine.Engine.default_domains ())
   let spec_corrupt rng (s : int Api.spec) = { s with Api.shift = field_corrupt rng s.Api.shift } in
   let id_corrupt = Fault.flip_int_bit ~bits:(Bits.id n) in
   (* Merlin broadcasts: one value sent to all n nodes. *)
-  let spec_tbl =
-    changed ~same:(fun _ s -> s == root_spec)
-      (Network.broadcast_fold net ~corrupt:spec_corrupt ~bits:spec_bits root_spec ~init:())
-  in
-  let claim_tbl =
-    changed ~same:(fun _ x -> x = a.claim)
-      (Network.broadcast_fold net ~corrupt:field_corrupt ~bits:f.Field.bits a.claim ~init:())
-  in
-  let root_tbl =
-    changed ~same:(fun _ x -> x = a.root)
-      (Network.broadcast_fold net ~corrupt:id_corrupt ~bits:(Bits.id n) a.root ~init:())
-  in
+  let spec_changes = Network.broadcast_changes net ~corrupt:spec_corrupt ~bits:spec_bits root_spec in
+  let claim_changes = Network.broadcast_changes net ~corrupt:field_corrupt ~bits:f.Field.bits a.claim in
+  let root_changes = Network.broadcast_changes net ~corrupt:id_corrupt ~bits:(Bits.id n) a.root in
   (* Merlin unicasts: tree labels and the k-vector of subtree aggregates,
-     produced per node on demand. *)
-  let label arr =
-    changed
-      ~same:(fun v x -> x = slot arr v)
-      (Network.unicast_fold net ~corrupt:id_corrupt ~bits:(Bits.id n) ~respond:(slot arr) ~init:())
-  in
-  let parent_tbl = label a.parent in
-  let dist_tbl = label a.dist in
+     produced per node on demand (only under faults). *)
+  let label arr = Network.unicast_changes net ~corrupt:id_corrupt ~bits:(Bits.id n) (slot arr) in
+  let parent_changes = label a.parent in
+  let dist_changes = label a.dist in
   let agg_corrupt rng row =
     if Array.length row = 0 then row
     else begin
@@ -235,32 +216,29 @@ let run_body ?fault ?prover ?k ?(domains = Ids_engine.Engine.default_domains ())
       row
     end
   in
-  let agg_row v = Array.init k (fun i -> slot a.agg ((v * k) + i)) in
-  let agg_tbl =
-    changed
-      ~same:(fun v row ->
-        let rec eq i = i = k || (row.(i) = slot a.agg ((v * k) + i) && eq (i + 1)) in
-        Array.length row = k && eq 0)
-      (Network.unicast_fold net ~corrupt:agg_corrupt ~bits:(k * f.Field.bits) ~respond:agg_row ~init:())
+  let agg_changes =
+    Network.unicast_changes net ~corrupt:agg_corrupt ~bits:(k * f.Field.bits) (fun v ->
+        Array.init k (fun i -> slot a.agg ((v * k) + i)))
   in
   let set out v x = out.(v) <- x in
-  let parent = delivered ~len:n a.parent parent_tbl set in
-  let dist = delivered ~len:n a.dist dist_tbl set in
+  let parent = delivered ~len:n a.parent parent_changes set in
+  let dist = delivered ~len:n a.dist dist_changes set in
   let agg =
-    delivered ~len:(n * k) a.agg agg_tbl (fun out v row ->
+    delivered ~len:(n * k) a.agg agg_changes (fun out v row ->
         if Array.length row = k then Array.blit row 0 out (v * k) k
         else
           (* A cheating prover shipped the wrong arity; poison the slot so
              the range check below rejects deterministically. *)
           Array.fill out (v * k) k (-1))
   in
-  let spec_of = copy spec_tbl root_spec
-  and claim_of = copy claim_tbl a.claim
-  and root_of = copy root_tbl a.root in
-  (* Verifier-side split tables for the root's points, built before the
-     chunks; a node holding other (range-checked) points builds its own,
-     so nothing shared is written during the checks. *)
-  let root_tables = row_tables f root_spec ~n in
+  let spec_of = copy spec_changes root_spec
+  and claim_of = copy claim_changes a.claim
+  and root_of = copy root_changes a.root in
+  (* Verifier-side row tables for the root's points, built before the
+     chunks and read by all of them; a node holding other (range-checked)
+     points builds its own, so nothing shared is written during the
+     checks. *)
+  let root_rows = Linear.closed_rows f (row_tables f root_spec ~n) in
   let field_ok x = Aggregation.in_range params.q x in
   let spec_eq (x : int Api.spec) (y : int Api.spec) = x == y || x = y in
   let spec_ok (spec : int Api.spec) =
@@ -272,15 +250,12 @@ let run_body ?fault ?prover ?k ?(domains = Ids_engine.Engine.default_domains ())
   let root_spec_ok = spec_ok root_spec in
   (* With no broadcast copy changed, every node holds the sent values and
      the neighbour comparison holds everywhere. *)
-  let broadcasts_intact =
-    Hashtbl.length spec_tbl = 0 && Hashtbl.length claim_tbl = 0 && Hashtbl.length root_tbl = 0
-  in
+  let broadcasts_intact = spec_changes = [] && claim_changes = [] && root_changes = [] in
   (* Local verification of one node, with per-chunk scratch: the node's k
      expected aggregates, first its own terms, then its children's sums
      added in decreasing order — a crashed child's unchecked aggregate may
      be out of range, where field addition is no longer order-free. *)
   let checker () =
-    let root_rows = Linear.closed_rows f root_tables in
     let expected = Array.make k f.Field.zero in
     let add_child u v =
       if parent.(u) = v then

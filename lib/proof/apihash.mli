@@ -10,13 +10,14 @@
     outer layer. Completeness is exact; a wrong claim or any tampered
     aggregate breaks an equation at some node.
 
-    Every round runs over {!Ids_network.Network}'s streamed views, so the
-    protocol completes at n = 10⁶ with O(max degree) transient state per
-    node. Row terms come from split power tables of about [2 sqrt n]
-    entries per point ({!Ids_hash.Linear.row_table}), and delivered copies
-    are stored only where the fault layer changed them, so an unfaulted
-    run holds the advice and no per-node copies — this is the scale
-    exemplar benchmarked by [bench/scale] and [perfbench]. *)
+    Every Merlin round returns only the copies the fault layer changed
+    ({!Ids_network.Network.unicast_changes}), so an unfaulted round visits
+    no node and an unfaulted run holds the advice and no per-node copies.
+    Row terms come from split power tables of about [2 sqrt n] entries per
+    point ({!Ids_hash.Linear.row_table}), evaluated one C call per node
+    ({!Ids_hash.Linear.closed_row_terms}), so the protocol completes at
+    n = 10⁶ with O(max degree) transient state per node — this is the
+    scale exemplar benchmarked by [bench/scale] and [perfbench]. *)
 
 type params = { q : int; field : int Ids_hash.Field.t; copies : int }
 

@@ -160,15 +160,26 @@ let test_powers_consistency () =
       (Linear.permuted_graph_hash_pow f_int ~powers g rho)
   done
 
-(* Split power tables against the pow_int reference: random canonical
-   points plus the edge points 0 and 1, sizes around powers of two (where
-   the table split point moves), the first and last rows, and a row that
-   always holds column n - 1 (the largest exponent, n). A small prime
-   makes powers wrap well inside the tables. The evaluator gets the row's
-   open neighbourhood and two copies of the table, written at offset 1. *)
+(* Split power tables and the Montgomery row kernel against the pow_int
+   reference: random canonical points plus the edge points 0 and 1, sizes
+   around powers of two (where the table split point moves), the first and
+   last rows, and a row that always holds column n - 1 (the largest
+   exponent, n), as a dense and as a sparse set. The moduli cover p = 3,
+   a small prime whose powers wrap well inside the tables, 2^31 - 1, the
+   odd prime 2^61 + 15 just above 2^61 (where [(a mod p) + p] once left the
+   native range) and the largest prime below 2^62. The evaluator gets the
+   row's open neighbourhood and two copies of the table, written at
+   offset 1. *)
 let prop_closed_row_terms =
   let sizes = [ 1; 2; 3; 5 ] @ List.concat_map (fun j -> [ (1 lsl j) - 1; 1 lsl j; (1 lsl j) + 1 ]) [ 2; 3; 6; 10 ] in
-  let fields = [ ("int 101", Field.int_field 101); ("int", Field.int_field 2147483647); ("int62", f62) ] in
+  let fields =
+    [ ("int 3", Field.int_field 3);
+      ("int 101", Field.int_field 101);
+      ("int", Field.int_field 2147483647);
+      ("int62 2^61+15", Field.int62_field 2305843009213693967);
+      ("int62", f62)
+    ]
+  in
   let gen =
     QCheck.Gen.(
       let* fi = int_bound (List.length fields - 1) in
@@ -205,6 +216,15 @@ let prop_closed_row_terms =
       && List.for_all
            (fun e -> Linear.split_pow f (Linear.split_powers f a (n * n)) e = f.Field.pow_int a e)
            [ 0; 1; n - 1; n; n * n ])
+
+let test_closed_rows_even_modulus () =
+  List.iter
+    (fun f ->
+      let t = Linear.row_table f f.Field.one ~n:4 in
+      match Linear.closed_rows f [| t |] with
+      | _ -> Alcotest.failf "closed_rows accepted the even modulus %d" f.Field.size
+      | exception Invalid_argument _ -> ())
+    [ Field.int_field 2; Field.int_field 1024; Field.int62_field (1 lsl 61) ]
 
 let nat_check = Alcotest.testable Nat.pp Nat.equal
 
@@ -329,6 +349,7 @@ let suite =
         Alcotest.test_case "collision rate within bound" `Quick test_collision_rate_within_bound;
         Alcotest.test_case "power-table consistency" `Quick test_powers_consistency;
         qtest prop_closed_row_terms;
+        Alcotest.test_case "closed_rows rejects an even modulus" `Quick test_closed_rows_even_modulus;
         Alcotest.test_case "linearity (nat)" `Quick test_linearity_nat;
         Alcotest.test_case "automorphism invariance (nat)" `Quick test_nat_automorphism_invariance
       ] );

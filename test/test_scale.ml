@@ -145,46 +145,48 @@ let test_estimates_backend_domains () =
         [ 1; 2; 4 ])
     (estimate_configs ())
 
-(* --- streamed folds = array primitives ------------------------------------ *)
+(* --- changed-copy rounds = array primitives ---------------------------------- *)
 
-let fold_to_array t fold =
-  let out = Array.make (Network.n t) None in
-  fold (fun () (v : _ Network.node_view) -> out.(v.Network.node) <- Some v.Network.value) ;
-  Array.map Option.get out
+(* The (node, copy) pairs at which an array round delivered something other
+   than what was sent, in node order. *)
+let changes_of ~sent delivered =
+  List.filter_map
+    (fun v -> if delivered.(v) <> sent v then Some (v, delivered.(v)) else None)
+    (List.init (Array.length delivered) Fun.id)
 
-let test_streaming_matches_arrays () =
+let test_changes_match_arrays () =
   let g = Family.expander (Rng.create 12) ~n:60 ~degree:4 in
   List.iter
     (fun fault ->
       let tag = Fault.to_string fault in
       let ta = Network.create ~fault ~seed:99 g in
       let tf = Network.create ~fault ~seed:99 g in
-      (* Challenge round: the kept draw, the missed flags and the stream
-         state after the round all match the array form. *)
+      (* Challenge round: the kept draw matches the array form. *)
       let ca = Network.challenge ta ~bits:7 (fun rng -> Rng.bits rng 7) in
       let cf = Network.challenge_at tf ~bits:7 ~node:23 (fun rng -> Rng.bits rng 7) in
       checkb (tag ^ ": challenge draw equal") true (ca.(23) = cf);
-      checkb (tag ^ ": stream state equal") true
-        (Rng.next_int64 (Network.rng ta) = Rng.next_int64 (Network.rng tf));
       (* Unicast round with a corrupt hook and no on_drop. *)
       let payload = Array.init (Graph.n g) (fun v -> (v * 37) land 127) in
       let ua = Network.unicast ta ~corrupt:(Fault.flip_int_bit ~bits:7) ~bits:7 payload in
-      let uf =
-        fold_to_array tf (fun f ->
-            Network.unicast_fold tf ~corrupt:(Fault.flip_int_bit ~bits:7) ~bits:7
-              ~respond:(fun v -> payload.(v))
-              ~init:() f)
+      let responded = ref 0 in
+      let uc =
+        Network.unicast_changes tf ~corrupt:(Fault.flip_int_bit ~bits:7) ~bits:7 (fun v ->
+            incr responded;
+            payload.(v))
       in
-      checkb (tag ^ ": unicast deliveries equal") true (ua = uf);
+      checkb (tag ^ ": unicast changes = array deliveries <> sent") true
+        (uc = changes_of ~sent:(Array.get payload) ua);
+      if Fault.is_none fault then checki (tag ^ ": unfaulted round calls no respond") 0 !responded;
       (* Broadcast round (equivocation victim included). *)
       let ba = Network.broadcast_uniform ta ~corrupt:(Fault.flip_int_bit ~bits:9) ~bits:9 301 in
-      let bf =
-        fold_to_array tf (fun f ->
-            Network.broadcast_fold tf ~corrupt:(Fault.flip_int_bit ~bits:9) ~bits:9 301 ~init:() f)
-      in
-      checkb (tag ^ ": broadcast deliveries equal") true (ba = bf);
+      let bc = Network.broadcast_changes tf ~corrupt:(Fault.flip_int_bit ~bits:9) ~bits:9 301 in
+      checkb (tag ^ ": broadcast changes = array deliveries <> sent") true
+        (bc = changes_of ~sent:(Fun.const 301) ba);
+      checki (tag ^ ": round counters equal") (Network.current_round ta) (Network.current_round tf);
       checkb (tag ^ ": missed flags equal") true (Network.take_missed ta = Network.take_missed tf);
-      checkb (tag ^ ": cost ledgers equal") true (Cost.equal (Network.cost ta) (Network.cost tf)))
+      checkb (tag ^ ": cost ledgers equal") true (Cost.equal (Network.cost ta) (Network.cost tf));
+      checkb (tag ^ ": stream state equal") true
+        (Rng.next_int64 (Network.rng ta) = Rng.next_int64 (Network.rng tf)))
     [ Fault.none;
       Fault.drop_only 0.2;
       Fault.corrupt_only 0.3;
@@ -424,7 +426,7 @@ let suite =
         Alcotest.test_case "expander shape" `Quick test_expander_shape;
         Alcotest.test_case "estimates pinned across backend x domains" `Slow
           test_estimates_backend_domains;
-        Alcotest.test_case "streamed folds = array primitives" `Quick test_streaming_matches_arrays;
+        Alcotest.test_case "changed copies = array primitives" `Quick test_changes_match_arrays;
         Alcotest.test_case "apihash completeness" `Quick test_apihash_completeness;
         Alcotest.test_case "apihash eps < 1 at small n" `Quick test_apihash_epsilon_small;
         Alcotest.test_case "apihash rejects tampered advice" `Quick test_apihash_soundness;
