@@ -133,8 +133,8 @@ let gni_cmd =
     let params = Gni.params_for ~repetitions:reps ~seed inst in
     Printf.printf "instance: two %d-vertex graphs, isomorphic = %b\n" n
       (Iso.are_isomorphic inst.Gni.g0 inst.Gni.g1);
-    Printf.printf "params: q = %d, k = %d, t = %d, threshold = %d, bounds %.3f / %.3f\n" params.Gni.q
-      params.Gni.copies params.Gni.repetitions params.Gni.threshold (Gni.yes_rate_bound params)
+    Printf.printf "params: q = %d, k = %d, t = %d, threshold = %d, bounds %.3f / %.3f\n" params.Gs.q
+      params.Gs.copies params.Gs.repetitions params.Gs.threshold (Gni.yes_rate_bound params)
       (Gni.no_rate_bound params);
     let exec s = if single then Gni.run_single ~params ~seed:s inst Gni.honest else Gni.run ~params ~seed:s inst Gni.honest in
     if trials > 0 then report_estimate "acceptance" (Stats.acceptance_ci ~trials exec)

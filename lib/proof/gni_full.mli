@@ -30,6 +30,10 @@
     survives with probability at most [(n^2+n)/q], which is folded into the
     NO-side bound.
 
+    The protocol is the shared core {!Gs} over this set: a witness is [b]
+    plus the broadcast tables [\[sigma; alpha\]], and each node has two
+    audit terms (Lemma 3.1's two sides, which the root requires to agree).
+
     Costs remain [O(n log n)] per node per repetition ([sigma] and [alpha]
     broadcasts, a constant number of [Theta(n log n)]-bit field elements). *)
 
@@ -39,17 +43,19 @@ type instance = private {
   n : int;
   aut0 : int array list Lazy.t;  (** Aut(G_0) as image tables. *)
   aut1 : int array list Lazy.t;
-  candidates : (int array * int * int array * (int * Ids_graph.Bitset.t) array) array Lazy.t;
+  candidates : Gs.candidate array Lazy.t;
       (** Distinct representatives [(sigma, b, alpha)] of the elements of
           [S], one per pair [(H, beta)], with the precomputed rows of the
-          hashed [2n x n] stack. *)
+          hashed [2n x n] stack. Forcing it raises [Invalid_argument] when an
+          automorphism group is so large that enumerating [n! * |Aut|] pairs
+          is impractical ([|Aut| > 256]). *)
 }
 
 val make_instance : Ids_graph.Graph.t -> Ids_graph.Graph.t -> instance
-(** Like {!Gni.make_instance} but without the asymmetry restriction.
-    @raise Invalid_argument if sizes differ, [g0] is disconnected, [n > 7],
-    or an automorphism group is so large that enumerating
-    [n! * |Aut|] pairs is impractical ([|Aut| > 256]). *)
+(** Like {!Gni.make_instance} but without the asymmetry restriction. The
+    automorphism-group size check runs when [candidates] is forced.
+    @raise Invalid_argument if sizes differ, [g0] is disconnected or
+    [n > 7]. *)
 
 val yes_instance : Ids_bignum.Rng.t -> int -> instance
 (** A non-isomorphic pair in which at least one side is symmetric — the
@@ -58,20 +64,13 @@ val yes_instance : Ids_bignum.Rng.t -> int -> instance
 val no_instance : Ids_bignum.Rng.t -> int -> instance
 (** An isomorphic pair of symmetric graphs. *)
 
-type params = {
-  q : int;
-  field : int Ids_hash.Field.t;
-  copies : int;
-  repetitions : int;
-  threshold : int;
-  factorial : int;
-  yes_bound : float;
-  no_bound : float;  (** includes the fake-automorphism term [(n^2+n)/q] *)
-}
+type params = Gs.params
+(** {!Gs.params} with [set_size = n!]; [no_bound] includes the
+    fake-automorphism term [(n^2+n)/q]. *)
 
 val params_for : ?repetitions:int -> seed:int -> instance -> params
 
-type prover
+type prover = instance Gs.prover
 
 val prover_name : prover -> string
 
@@ -83,6 +82,10 @@ val adversary_fake_automorphism : prover
     post-commitment audit hash catches it with probability
     [1 - (n^2+n)/q]. *)
 
-val run_single : ?params:params -> seed:int -> instance -> prover -> Outcome.t
+val run_single :
+  ?fault:Ids_network.Fault.spec -> ?params:params -> seed:int -> instance -> prover -> Outcome.t
+(** One repetition ({!Gs.run_single}). *)
 
-val run : ?params:params -> seed:int -> instance -> prover -> Outcome.t
+val run :
+  ?fault:Ids_network.Fault.spec -> ?params:params -> seed:int -> instance -> prover -> Outcome.t
+(** The amplified protocol ({!Gs.run}). *)

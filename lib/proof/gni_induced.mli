@@ -28,7 +28,11 @@
     own their two rows; everyone else contributes zero and participates in
     the aggregation. The post-commitment audit point checks Lemma 3.1's
     equation for [alpha] on the induced matrix, which also forces
-    [alpha] to fix the marked class setwise. *)
+    [alpha] to fix the marked class setwise.
+
+    The protocol is the shared core {!Gs} over this set: a witness is [b]
+    plus the broadcast tables [\[psi; alpha\]], both of which every node
+    requires to be permutations, and each node has two audit terms. *)
 
 type instance = private {
   g : Ids_graph.Graph.t;
@@ -37,7 +41,7 @@ type instance = private {
   k : int;  (** size of each marked class *)
   h0 : Ids_graph.Graph.t;  (** induced subgraph of the 0-class, relabelled *)
   h1 : Ids_graph.Graph.t;
-  candidates : (int array * int * int array * (int * Ids_graph.Bitset.t) array) array Lazy.t;
+  candidates : Gs.candidate array Lazy.t;
       (** [(psi, b, alpha, rows)] — one representative per element of S. *)
 }
 
@@ -58,25 +62,22 @@ val yes_instance : Ids_bignum.Rng.t -> int -> instance
 val no_instance : Ids_bignum.Rng.t -> int -> instance
 (** Plants two copies of P4. *)
 
-type params = {
-  q : int;
-  field : int Ids_hash.Field.t;
-  copies : int;
-  repetitions : int;
-  threshold : int;
-  set_size : int;  (** [P(n, k)] *)
-  yes_bound : float;
-  no_bound : float;
-}
+type params = Gs.params
+(** {!Gs.params} with [set_size = P(n, k)]; [no_bound] includes the
+    fake-automorphism term [((2n)^2+2n)/q]. *)
 
 val params_for : ?repetitions:int -> seed:int -> instance -> params
 
-type prover
+type prover = instance Gs.prover
 
 val prover_name : prover -> string
 
 val honest : prover
 
-val run_single : ?params:params -> seed:int -> instance -> prover -> Outcome.t
+val run_single :
+  ?fault:Ids_network.Fault.spec -> ?params:params -> seed:int -> instance -> prover -> Outcome.t
+(** One repetition ({!Gs.run_single}). *)
 
-val run : ?params:params -> seed:int -> instance -> prover -> Outcome.t
+val run :
+  ?fault:Ids_network.Fault.spec -> ?params:params -> seed:int -> instance -> prover -> Outcome.t
+(** The amplified protocol ({!Gs.run}). *)

@@ -106,30 +106,46 @@ type pending = { preq : Request.t; pclient : client; pt0 : float; ptr : rtrace }
 (* Monotonic seconds: deadlines must not jump with wall-clock adjustments. *)
 let now () = float_of_int (Obs.now_ns ()) /. 1e9
 
-(* Drain a non-blocking fd into [buf]; return the complete lines plus whether
-   the peer closed. *)
+let max_line = 65536
+
+type drained = Open | Closed | Overflow
+
+(* Drain a non-blocking fd into [buf], which holds the unterminated tail of
+   earlier reads; return the complete lines and the connection's state. Only
+   newly read bytes are scanned for newlines, and a pending line that
+   outgrows [max_line] stops the read and frees the buffer. *)
 let drain_lines fd buf =
   let chunk = Bytes.create 8192 in
+  let lines = ref [] in
+  let take o i =
+    Buffer.add_subbytes buf chunk o (i - o);
+    Buffer.length buf <= max_line
+  in
+  let rec scan n o i =
+    if i = n then take o n
+    else if Bytes.get chunk i <> '\n' then scan n o (i + 1)
+    else
+      take o i
+      && begin
+           lines := Buffer.contents buf :: !lines;
+           Buffer.clear buf;
+           scan n (i + 1) (i + 1)
+         end
+  in
   let rec fill () =
     match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> true
+    | 0 -> Closed
     | n ->
-      Buffer.add_subbytes buf chunk 0 n;
-      fill ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> false
-    | exception Unix.Unix_error _ -> true
+      if scan n 0 0 then fill ()
+      else begin
+        Buffer.reset buf;
+        Overflow
+      end
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> Open
+    | exception Unix.Unix_error _ -> Closed
   in
-  let eof = fill () in
-  let data = Buffer.contents buf in
-  Buffer.clear buf;
-  let rec split o acc =
-    match String.index_from_opt data o '\n' with
-    | Some i -> split (i + 1) (String.sub data o (i - o) :: acc)
-    | None ->
-      Buffer.add_string buf (String.sub data o (String.length data - o));
-      List.rev acc
-  in
-  (split 0 [], eof)
+  let state = fill () in
+  (List.rev !lines, state)
 
 let run cfg =
   match Supervisor.validate cfg.sup with
@@ -456,9 +472,15 @@ let run cfg =
                   post (Supervisor.Submit id)))
         in
         let read_client c =
-          let lines, eof = drain_lines c.cfd c.cbuf in
+          let lines, state = drain_lines c.cfd c.cbuf in
           List.iter (handle_request_line c) lines;
-          if eof then close_client c
+          match state with
+          | Open -> ()
+          | Closed -> close_client c
+          | Overflow ->
+            let msg = Printf.sprintf "request line longer than %d bytes" max_line in
+            respond c (Request.Rejected { id = ""; reject = Request.Bad_request msg });
+            close_client c
         in
         let accept_clients () =
           let rec go () =

@@ -21,6 +21,11 @@
     are shut down via pipe EOF and reaped, the log is closed, and [run]
     returns [Ok ()]. *)
 
+val max_line : int
+(** Longest accepted client line in bytes, far above any valid request. A
+    client whose pending line outgrows it is answered [bad_request] and
+    disconnected. *)
+
 type config = {
   socket : string;  (** Unix-domain socket path. *)
   sup : Supervisor.config;

@@ -61,8 +61,8 @@ let test_gni_full_single_rep_gap () =
     (Printf.sprintf "yes %.3f > no %.3f" yes_rate no_rate)
     true
     (yes_rate > no_rate +. 0.03);
-  Alcotest.(check bool) "yes >= bound - slack" true (yes_rate >= params.Gni_full.yes_bound -. 0.09);
-  Alcotest.(check bool) "no <= bound + slack" true (no_rate <= params.Gni_full.no_bound +. 0.06)
+  Alcotest.(check bool) "yes >= bound - slack" true (yes_rate >= params.Gs.yes_bound -. 0.09);
+  Alcotest.(check bool) "no <= bound + slack" true (no_rate <= params.Gs.no_bound +. 0.06)
 
 let test_gni_full_verdicts () =
   let rng = Rng.create 204 in
@@ -218,9 +218,9 @@ let test_gni_threshold_uses_midpoint () =
   let inst = Gni.yes_instance (Rng.create 3) 6 in
   let params = Gni.params_for ~seed:5 inst in
   Alcotest.(check int) "gni threshold"
-    (Stats.midpoint_threshold ~trials:params.Gni.repetitions
+    (Stats.midpoint_threshold ~trials:params.Gs.repetitions
        ~yes_rate:(Gni.yes_rate_bound params) ~no_rate:(Gni.no_rate_bound params))
-    params.Gni.threshold
+    params.Gs.threshold
 
 let test_amplify_protocol_end_to_end () =
   (* Amplify Protocol 1 to error ~0 on both sides. *)

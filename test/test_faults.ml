@@ -300,17 +300,52 @@ let test_verdict_rules () =
 (* Regression: GNI's repetition loop used to compute acceptance from the
    local validity array alone, so drop and crash faults had no effect on its
    outcomes. Drops must now invalidate the affected node for the repetition
-   they occur in, and crashes must be judged per the spec's crash mode. *)
+   they occur in, and crashes must be judged per the spec's crash mode. Gni,
+   Gni_full and Gni_induced share one repetition (Gs), so every check below
+   runs on each of them: a YES instance, its honest prover, and enough
+   repetitions for the clean amplified run to accept. *)
 
-let gni_instance = lazy (Gni.yes_instance (Rng.create 7) 6)
+type gs_variant = {
+  params : ?repetitions:int -> unit -> Gs.params;
+  single : ?fault:Fault.spec -> Gs.params -> int -> Outcome.t;
+  amplified : ?fault:Fault.spec -> Gs.params -> int -> Outcome.t;
+  repetitions : int;
+}
 
-let test_gni_drop_degrades () =
-  let inst = Lazy.force gni_instance in
-  let params = Gni.params_for ~seed:11 inst in
+let gni =
+  lazy
+    (let inst = Gni.yes_instance (Rng.create 7) 6 in
+     { params = (fun ?repetitions () -> Gni.params_for ?repetitions ~seed:11 inst);
+       single = (fun ?fault params seed -> Gni.run_single ?fault ~params ~seed inst Gni.honest);
+       amplified = (fun ?fault params seed -> Gni.run ?fault ~params ~seed inst Gni.honest);
+       repetitions = 400
+     })
+
+let gni_full =
+  lazy
+    (let inst = Gni_full.yes_instance (Rng.create 7) 6 in
+     { params = (fun ?repetitions () -> Gni_full.params_for ?repetitions ~seed:11 inst);
+       single = (fun ?fault params seed -> Gni_full.run_single ?fault ~params ~seed inst Gni_full.honest);
+       amplified = (fun ?fault params seed -> Gni_full.run ?fault ~params ~seed inst Gni_full.honest);
+       repetitions = 100
+     })
+
+let gni_induced =
+  lazy
+    (let inst = Gni_induced.yes_instance (Rng.create 7) 8 in
+     { params = (fun ?repetitions () -> Gni_induced.params_for ?repetitions ~seed:11 inst);
+       single = (fun ?fault params seed -> Gni_induced.run_single ?fault ~params ~seed inst Gni_induced.honest);
+       amplified = (fun ?fault params seed -> Gni_induced.run ?fault ~params ~seed inst Gni_induced.honest);
+       repetitions = 100
+     })
+
+let test_gni_drop_degrades variant () =
+  let v = Lazy.force variant in
+  let params = v.params () in
   let hits fault =
     let count = ref 0 in
     for seed = 1 to 40 do
-      if (Gni.run_single ?fault ~params ~seed inst Gni.honest).Outcome.accepted then incr count
+      if (v.single ?fault params seed).Outcome.accepted then incr count
     done;
     !count
   in
@@ -323,23 +358,52 @@ let test_gni_drop_degrades () =
   (* With every message dropped each node misses some round, so even a
      locally valid repetition cannot be a hit. *)
   Alcotest.(check bool) "total drop rejects" false
-    (Gni.run_single ~fault:(Fault.drop_only 1.0) ~params ~seed:1 inst Gni.honest).Outcome.accepted
+    (v.single ~fault:(Fault.drop_only 1.0) params 1).Outcome.accepted
 
-let test_gni_crash_modes () =
-  let inst = Lazy.force gni_instance in
-  let params = Gni.params_for ~repetitions:400 ~seed:11 inst in
-  Alcotest.(check bool) "clean amplified run accepts" true
-    (Gni.run ~params ~seed:1 inst Gni.honest).Outcome.accepted;
+let test_gni_crash_modes variant () =
+  let v = Lazy.force variant in
+  let params = v.params ~repetitions:v.repetitions () in
+  Alcotest.(check bool) "clean amplified run accepts" true (v.amplified params 1).Outcome.accepted;
   for seed = 1 to 3 do
     Alcotest.(check bool) "Crash_reject forces rejection" false
-      (Gni.run ~fault:(Fault.crash_only 1.0) ~params ~seed inst Gni.honest).Outcome.accepted;
+      (v.amplified ~fault:(Fault.crash_only 1.0) params seed).Outcome.accepted;
     Alcotest.(check bool) "Crash_vacuous vacuously accepts" true
-      (Gni.run ~fault:(Fault.crash_only ~crash_mode:Fault.Crash_vacuous 1.0) ~params ~seed inst
-         Gni.honest)
-        .Outcome.accepted;
+      (v.amplified ~fault:(Fault.crash_only ~crash_mode:Fault.Crash_vacuous 1.0) params seed).Outcome.accepted;
     Alcotest.(check bool) "total drop rejects the amplified run" false
-      (Gni.run ~fault:(Fault.drop_only 1.0) ~params ~seed inst Gni.honest).Outcome.accepted
+      (v.amplified ~fault:(Fault.drop_only 1.0) params seed).Outcome.accepted
   done
+
+(* A zero-rate spec takes the faulted code path yet must leave every
+   outcome field exactly as the unfaulted path does. *)
+let test_gni_zero_rate_identical variant () =
+  let v = Lazy.force variant in
+  let params = v.params () in
+  for seed = 1 to 5 do
+    let clean = v.single params seed in
+    Alcotest.(check bool) (Printf.sprintf "seed %d: zero-rate spec identical" seed) true
+      (v.single ~fault:(Fault.drop_only 0.) params seed = clean);
+    Alcotest.(check bool) (Printf.sprintf "seed %d: Fault.none identical" seed) true
+      (v.single ~fault:Fault.none params seed = clean)
+  done
+
+(* Faulted estimates are keyed by the trial seed alone, so the worker count
+   cannot move them. Domains 1 runs first, forcing the lazy candidate sets
+   before any parallel trial touches them. *)
+let test_gni_faulted_estimate_across_domains variant () =
+  let v = Lazy.force variant in
+  let params = v.params () in
+  let estimate domains =
+    let e =
+      Stats.acceptance_ci ~domains ~trials:40 (fun seed -> v.single ~fault:(Fault.drop_only 0.01) params seed)
+    in
+    { e with Engine.domains = 0 }
+  in
+  let one = estimate 1 in
+  List.iter
+    (fun domains ->
+      Alcotest.(check bool) (Printf.sprintf "drop=0.01 estimate at %d domains = 1 domain" domains) true
+        (estimate domains = one))
+    [ 2; 4 ]
 
 (* --- corrupt hooks ------------------------------------------------------------- *)
 
@@ -540,8 +604,17 @@ let suite =
         Alcotest.test_case "dropped challenge rejects" `Quick test_dropped_challenge_rejects;
         Alcotest.test_case "challenge_at = array challenge slot" `Quick test_challenge_at_matches_array;
         Alcotest.test_case "verdict rules" `Quick test_verdict_rules;
-        Alcotest.test_case "GNI completeness degrades under drop" `Slow test_gni_drop_degrades;
-        Alcotest.test_case "GNI crash modes honored" `Slow test_gni_crash_modes;
+        Alcotest.test_case "GNI completeness degrades under drop" `Slow (test_gni_drop_degrades gni);
+        Alcotest.test_case "GNI crash modes honored" `Slow (test_gni_crash_modes gni);
+        Alcotest.test_case "Gni_full completeness degrades under drop" `Slow (test_gni_drop_degrades gni_full);
+        Alcotest.test_case "Gni_full crash modes honored" `Slow (test_gni_crash_modes gni_full);
+        Alcotest.test_case "Gni_induced completeness degrades under drop" `Slow
+          (test_gni_drop_degrades gni_induced);
+        Alcotest.test_case "Gni_induced crash modes honored" `Slow (test_gni_crash_modes gni_induced);
+        Alcotest.test_case "GS zero-rate spec is bit-identical" `Quick (fun () ->
+            List.iter (fun v -> test_gni_zero_rate_identical v ()) [ gni; gni_full; gni_induced ]);
+        Alcotest.test_case "GS drop=0.01 estimate domain-independent" `Slow (fun () ->
+            List.iter (fun v -> test_gni_faulted_estimate_across_domains v ()) [ gni; gni_full; gni_induced ]);
         Alcotest.test_case "corrupt hooks always change the value" `Quick
           test_corrupt_hooks_change_value
       ] );

@@ -10,6 +10,9 @@
 module Request = Ids_serve.Request
 module Catalog = Ids_serve.Catalog
 module Pool = Ids_serve.Pool
+module Server = Ids_serve.Server
+module Client = Ids_serve.Client
+module Supervisor = Ids_serve.Supervisor
 module Fault = Ids_network.Fault
 
 let check = Alcotest.check
@@ -157,13 +160,85 @@ let test_graceful_eof_flush () =
   ignore (Unix.waitpid [] (Pool.pid w));
   Pool.shutdown w
 
+(* The daemon bounds a client's unterminated line: a client that streams
+   more than Server.max_line bytes without a newline is answered
+   bad_request and disconnected, and the daemon keeps serving the other
+   clients byte-for-byte. *)
+let test_daemon_line_cap () =
+  let socket = Printf.sprintf "ids_fork_test_%d.sock" (Unix.getpid ()) in
+  let cfg =
+    { Server.default with
+      Server.socket;
+      log_path = "";
+      sup = { Supervisor.default with Supervisor.workers = 1 }
+    }
+  in
+  flush stdout;
+  flush stderr;
+  let pid =
+    match Unix.fork () with
+    | 0 -> (
+      match Server.run cfg with
+      | Ok () -> Unix._exit 0
+      | Error e ->
+        prerr_endline ("daemon: " ^ e);
+        Unix._exit 1)
+    | pid -> pid
+  in
+  let stop () =
+    Unix.kill pid Sys.sigterm;
+    (match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.fail "daemon did not drain cleanly");
+    if Sys.file_exists socket then Sys.remove socket
+  in
+  let client =
+    match Client.connect ~wait:10. socket with
+    | Ok c -> c
+    | Error e ->
+      stop ();
+      Alcotest.failf "connect: %s" e
+  in
+  let flooder = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect flooder (Unix.ADDR_UNIX socket);
+  let flood = Bytes.make (Server.max_line + 1) 'x' in
+  checkb "whole over-cap line written" true (Unix.write flooder flood 0 (Bytes.length flood) = Bytes.length flood);
+  let ic = Unix.in_channel_of_descr flooder in
+  (* Bounded wait: a daemon without the cap would never answer. *)
+  let answered = match Unix.select [ flooder ] [] [] 10. with [], _, _ -> false | _ -> true in
+  let reply = if answered then try Some (input_line ic) with End_of_file -> None else None in
+  let closed = answered && match input_line ic with _ -> false | exception End_of_file -> true in
+  close_in ic;
+  let req = Request.make_estimate ~id:"cap1" ~protocol:"sym_dmam" ~strategy:"honest" ~trials:3 () in
+  let answer = Client.request client req in
+  Client.close client;
+  stop ();
+  (match Option.map Request.response_of_line reply with
+  | Some (Ok (Request.Rejected { reject = Request.Bad_request _; _ })) -> ()
+  | Some (Ok _) -> Alcotest.fail "over-cap line not answered bad_request"
+  | Some (Error e) -> Alcotest.failf "bad reply line: %s" e
+  | None -> Alcotest.fail "over-cap client got no reply");
+  checkb "over-cap client disconnected" true closed;
+  match answer with
+  | Ok (Request.Estimated { id = "cap1"; record; _ }) ->
+    let want =
+      match Catalog.execute_request ~protocol:"sym_dmam" ~strategy:"honest" ~trials:3 ~fault:Fault.none with
+      | Ok r -> r
+      | Error e -> Alcotest.failf "in-process oracle failed: %s" e
+    in
+    check Alcotest.string "other client's estimate byte-equal to the in-process engine" want record
+  | Ok _ -> Alcotest.fail "unexpected response shape"
+  | Error e -> Alcotest.failf "estimate failed: %s" e
+
 let () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "ids-serve-fork"
     [ ( "serve-fork",
         [ Alcotest.test_case "forked worker: retried result bit-identical" `Quick
             test_forked_worker_retry_bit_identical;
           Alcotest.test_case "torn frame: counted gap, clean retry" `Quick
             test_torn_frame_lost_delta_clean_retry;
-          Alcotest.test_case "graceful EOF ships a Flush frame" `Quick test_graceful_eof_flush
+          Alcotest.test_case "graceful EOF ships a Flush frame" `Quick test_graceful_eof_flush;
+          Alcotest.test_case "daemon: over-cap line rejected, others served" `Quick test_daemon_line_cap
         ] )
     ]
