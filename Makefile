@@ -17,9 +17,13 @@ test:
 # zero-cost-when-disabled bound, and the verification-service smoke
 # (daemon round-trip with a forced worker kill + torn-tail recovery),
 # the telemetry-plane smoke (ledger exactness, trace stitching, torn
-# frame drill), and the committed-benchmark trajectory table.
+# frame drill), the committed-benchmark trajectory table, and two
+# large-n demo runs whose Protocol 1 / DSym primes exceed 2^31 (the int62
+# field path end to end; each must print an ACCEPT verdict).
 check:
 	dune build && dune runtest && \
+	dune exec bin/ids_demo.exe -- sym -n 400 --seed 0 | grep -q 'verdict *: ACCEPT' && \
+	dune exec bin/ids_demo.exe -- dsym -n 150 -r 2 --seed 1 | grep -q 'verdict *: ACCEPT' && \
 	dune exec bench/modarith/main.exe -- --smoke -o /dev/null && \
 	dune exec bench/setup/main.exe -- --smoke -o /dev/null && \
 	dune exec bench/frontier/main.exe -- --smoke -o /dev/null && \

@@ -100,6 +100,8 @@ let int62_field p =
     to_string = string_of_int
   }
 
+let native_field p = if p < 1 lsl 31 then int_field p else int62_field p
+
 let nat_field p =
   if Nat.compare p Nat.two < 0 then invalid_arg "Field.nat_field: modulus too small";
   (* One precomputed context (Montgomery for odd p, Barrett otherwise) backs

@@ -33,5 +33,10 @@ val int62_field : int -> int t
     capped at 2^31. Backs the §4 scale path once the true
     [\[4 m^1.5, 8 m^1.5\]] prime outgrows the native-product range. *)
 
+val native_field : int -> int t
+(** [native_field p] is {!int_field} below [2^31] and {!int62_field} from
+    there on: the cheaper native field that holds [p]. Protocol 1, DSym and
+    the §4 hash draw primes that cross [2^31] as the network grows. *)
+
 val nat_field : Ids_bignum.Nat.t -> Ids_bignum.Nat.t t
 (** [nat_field p] for an arbitrary-precision prime. *)

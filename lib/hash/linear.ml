@@ -49,25 +49,6 @@ let row_hash_pow f ~powers ~n ~row s =
   if row < 0 || row >= n then invalid_arg "Linear.row_hash_pow: row out of range";
   f.Field.mul powers.(row * n) (row_poly_pow f ~powers s)
 
-let graph_hash_pow f ~powers g =
-  let n = Graph.n g in
-  let acc = ref f.Field.zero in
-  for v = 0 to n - 1 do
-    acc := f.Field.add !acc (row_hash_pow f ~powers ~n ~row:v (Graph.closed_neighborhood g v))
-  done;
-  !acc
-
-let permuted_graph_hash_pow f ~powers g rho =
-  let n = Graph.n g in
-  let acc = ref f.Field.zero in
-  for v = 0 to n - 1 do
-    acc :=
-      f.Field.add !acc
-        (row_hash_pow f ~powers ~n ~row:(Perm.apply rho v)
-           (Perm.apply_set rho (Graph.closed_neighborhood g v)))
-  done;
-  !acc
-
 (* Split power tables: a^e = big.(e lsr s) * small.(e land mask) with about
    2 sqrt(m) entries instead of the m + 1 of [powers]; the smallest s with
    2^(2s) > m makes [small] (2^s entries) at least as long as [big]. *)

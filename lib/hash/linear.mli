@@ -60,11 +60,6 @@ val powers_memo : 'a Field.t -> int -> 'a -> 'a array
 val row_hash_pow : 'a Field.t -> powers:'a array -> n:int -> row:int -> Ids_graph.Bitset.t -> 'a
 (** {!row_hash} using a table from [powers] (of length at least [n^2+n+1]). *)
 
-val graph_hash_pow : 'a Field.t -> powers:'a array -> Ids_graph.Graph.t -> 'a
-
-val permuted_graph_hash_pow :
-  'a Field.t -> powers:'a array -> Ids_graph.Graph.t -> Ids_graph.Perm.t -> 'a
-
 (** {1 Split power tables}
 
     The distributed scale path evaluates {!row_hash} at every node of an

@@ -1,6 +1,8 @@
 (** Shared verification and prover-side helpers for the "hash up the
-    spanning tree" pattern used by Protocols 1 and 2 and by the DSym and GNI
-    protocols.
+    spanning tree" pattern. {!Sym_core} composes them into the Lemma 3.1
+    check of Protocols 1 and 2 and the DSym protocol; {!Gs} into the GNI
+    protocols' per-copy and audit aggregates; {!Apihash} uses the tree
+    check for the §4 hash.
 
     The prover supplies per-node labels [(parent, dist)] plus a claimed root;
     each node runs the local checks of the Korman–Kutten–Peleg spanning-tree

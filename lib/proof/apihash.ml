@@ -63,8 +63,7 @@ let params_for ?(k = Api.default_copies) ~seed g =
     end
     else wide_cap_q
   in
-  let field = if q < 1 lsl 31 then Field.int_field q else Field.int62_field q in
-  { q; field; copies = k }
+  { q; field = Field.native_field q; copies = k }
 
 let epsilon params ~n =
   Api.epsilon params.field ~n ~k:params.copies ~q:(float_of_int params.q)

@@ -7,7 +7,6 @@ module Network = Ids_network.Network
 module Fault = Ids_network.Fault
 module Bits = Ids_network.Bits
 module Field = Ids_hash.Field
-module Linear = Ids_hash.Linear
 module Rng = Ids_bignum.Rng
 
 type instance = { n : int; r : int; graph : Graph.t }
@@ -22,7 +21,7 @@ let params_for ~seed inst =
   let size = Graph.n inst.graph in
   let rng = Rng.create (seed lxor 0x3d5) in
   let p = Ids_bignum.Prime.random_prime_in_int rng (10 * size * size * size) (100 * size * size * size) in
-  { p; field = Field.int_field p }
+  { p; field = Field.native_field p }
 
 type response = {
   index : int array;
@@ -35,37 +34,24 @@ type response = {
 
 type prover = { name : string; respond : params -> instance -> int array -> response }
 
-let const n v = Array.make n v
-
 (* Vertex 0 is never fixed by sigma (it maps to n), so the honest prover
    always roots the tree there. *)
 let honest_root = 0
 
-(* Honest-shaped play for an arbitrary tree root and aggregation
-   permutation: echo the root's challenge and send the true subtree sums of
-   both matrices, aggregating the b-matrix under [sigma]. The verifiers
-   recompute their own b-terms under the true public sigma, so any other
-   [sigma] fails their subtree equations deterministically. *)
+(* The verifiers recompute their own b-terms under the true public sigma, so
+   any other [sigma] fails their subtree equations deterministically. *)
 let respond_with ~root ~sigma params inst challenges =
   let g = inst.graph in
   let size = Graph.n g in
-  let f = params.field in
   let tree = Precomp.tree g root in
-  let i = challenges.(root) in
-  (* One power table for the shared index replaces a modular exponentiation
-     per row term in both sums. *)
-  let pows = Linear.powers f i ((size * size) + size) in
-  let term_a v = Linear.row_hash_pow f ~powers:pows ~n:size ~row:v (Graph.closed_neighborhood g v) in
-  let term_b v =
-    Linear.row_hash_pow f ~powers:pows ~n:size ~row:(Perm.apply sigma v)
-      (Perm.apply_set sigma (Graph.closed_neighborhood g v))
-  in
-  { index = const size i;
-    root = const size root;
+  let index = challenges.(root) in
+  let a, b = Sym_core.sums params.field g tree ~index (sigma : Perm.t :> int array) in
+  { index = Array.make size index;
+    root = Array.make size root;
     parent = Array.copy tree.Spanning_tree.parent;
     dist = Array.copy tree.Spanning_tree.dist;
-    a = Aggregation.honest_sums f tree ~term:term_a;
-    b = Aggregation.honest_sums f tree ~term:term_b
+    a;
+    b
   }
 
 let respond_consistently params inst challenges =
@@ -135,29 +121,15 @@ let run_body ?fault ?params ~seed inst prover =
   let dist_u = Network.unicast net ~corrupt:id_corrupt ~bits:(Bits.id size) r.dist in
   let a_u = Network.unicast net ~corrupt:field_corrupt ~bits:f.Field.bits r.a in
   let b_u = Network.unicast net ~corrupt:field_corrupt ~bits:f.Field.bits r.b in
-  let field_ok x = Aggregation.in_range params.p x in
-  let powers_of = Linear.powers_memo f ((size * size) + size) in
+  let check =
+    Sym_core.verifier f g ~in_field:(Aggregation.in_range params.p) ~challenges ~parent:parent_u ~dist:dist_u
+      ~a:a_u ~b:b_u
+  in
   let decide v =
     structure_ok inst v
     && Network.broadcast_consistent_at net index_bc v
     && Network.broadcast_consistent_at net root_bc v
-    &&
-    let i = index_bc.(v) and root = root_bc.(v) in
-    Aggregation.in_range size root && field_ok i && field_ok a_u.(v) && field_ok b_u.(v)
-    && Aggregation.tree_check g ~root ~parent:parent_u ~dist:dist_u v
-    &&
-    let children = Aggregation.children g ~parent:parent_u v in
-    let neighborhood = Graph.closed_neighborhood g v in
-    let pows = powers_of i in
-    let own_a = Linear.row_hash_pow f ~powers:pows ~n:size ~row:v neighborhood in
-    let own_b =
-      Linear.row_hash_pow f ~powers:pows ~n:size ~row:(Perm.apply sigma v)
-        (Perm.apply_set sigma neighborhood)
-    in
-    Aggregation.subtree_equation f ~own:own_a ~claimed:a_u ~children v
-    && Aggregation.subtree_equation f ~own:own_b ~claimed:b_u ~children v
-    &&
-    if v = root then a_u.(v) = b_u.(v) && Perm.apply sigma v <> v && i = challenges.(v) else true
+    && check ~map:(sigma :> int array) ~index:index_bc.(v) ~root:root_bc.(v) v
   in
   let accepted = Network.decide net decide in
   Outcome.of_cost ~accepted ~prover:prover.name (Network.cost net)

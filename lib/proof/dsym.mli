@@ -11,8 +11,8 @@
 
     The three membership conditions split as:
     + [sigma] is an automorphism — checked with the Protocol 1 hash
-      machinery (both hash rows are computable locally because [sigma] is a
-      fixed public formula);
+      machinery ({!Sym_core.verifier}; both hash rows are computable
+      locally because [sigma] is a fixed public formula);
     + the connecting path is present — checked locally by the path nodes;
     + no stray edges — checked locally by every node.
 
@@ -27,6 +27,8 @@ val make_instance : n:int -> r:int -> Ids_graph.Graph.t -> instance
 type params = { p : int; field : int Ids_hash.Field.t }
 
 val params_for : seed:int -> instance -> params
+(** A random prime in [\[10 N^3, 100 N^3\]] for [N = 2n + 2r + 1] vertices,
+    in {!Ids_hash.Field.native_field} (the int62 field once [p >= 2^31]). *)
 
 type response = {
   index : int array;  (** broadcast *)
@@ -50,8 +52,9 @@ val respond_with :
   root:int -> sigma:Ids_graph.Perm.t -> params -> instance -> int array -> response
 (** Honest-shaped play for an arbitrary tree root and aggregation
     permutation: echo [root]'s challenge and send the true subtree sums of
-    both matrices, aggregating the b-matrix under [sigma]. The honest prover
-    is [respond_with ~root:0 ~sigma:(Precomp.dsym_sigma ...)]. *)
+    both matrices ({!Sym_core.sums}), aggregating the b-matrix under
+    [sigma]. The honest prover is
+    [respond_with ~root:0 ~sigma:(Precomp.dsym_sigma ...)]. *)
 
 val run : ?fault:Ids_network.Fault.spec -> ?params:params -> seed:int -> instance -> prover -> Outcome.t
 (** One execution. [fault] injects faults into every channel round (see

@@ -19,7 +19,7 @@ let side inst b = if b = 0 then inst.g0 else inst.g1
    sigma(N_b(v)). *)
 let own_rows g (w : Gs.witness) v =
   let sigma = List.hd w.tables in
-  [ (sigma.(v), Gs.image ~n:(Graph.n g) sigma (Graph.closed_neighborhood g v)) ]
+  [ (sigma.(v), Sym_core.image ~n:(Graph.n g) sigma (Graph.closed_neighborhood g v)) ]
 
 let make_instance g0 g1 =
   let n = Graph.n g0 in

@@ -114,17 +114,7 @@ type 'i prover = {
    y   = shift + sum_i coeffs_i * z_i   (mod q). *)
 let hasher params ~width (spec : int Api.spec) =
   let q = params.q in
-  let m = (width * width) + width in
-  let powtabs =
-    Array.map
-      (fun a ->
-        let t = Array.make (m + 1) 1 in
-        for i = 1 to m do
-          t.(i) <- t.(i - 1) * a mod q
-        done;
-        t)
-      spec.Api.points
-  in
+  let powtabs = Array.map (fun a -> Linear.powers params.field a ((width * width) + width)) spec.Api.points in
   fun rows ->
     let y = ref spec.Api.shift in
     Array.iteri
@@ -217,18 +207,15 @@ let honest set =
 
 (* --- helpers for the automorphism-compensated sets --------------------------- *)
 
-let image ~n table s =
-  let out = Bitset.create n in
-  Bitset.iter (fun u -> Bitset.add out table.(u)) s;
-  out
-
 let stacked_rows ~n sigma alpha v nb =
   let auto = Bitset.create n in
   Bitset.add auto sigma.(alpha.(v));
-  [ (sigma.(v), image ~n sigma nb); (n + sigma.(v), auto) ]
+  [ (sigma.(v), Sym_core.image ~n sigma nb); (n + sigma.(v), auto) ]
 
 let lemma31_terms f point ~n alpha v nb =
-  [| Linear.row_hash f point ~n ~row:v nb; Linear.row_hash f point ~n ~row:alpha.(v) (image ~n alpha nb) |]
+  [| Linear.row_hash f point ~n ~row:v nb;
+     Linear.row_hash f point ~n ~row:alpha.(v) (Sym_core.image ~n alpha nb)
+  |]
 
 (* --- execution --------------------------------------------------------------- *)
 

@@ -163,9 +163,6 @@ val honest : 'i set -> 'i prover
 
 (** {1 Helpers for the automorphism-compensated sets} *)
 
-val image : n:int -> int array -> Ids_graph.Bitset.t -> Ids_graph.Bitset.t
-(** [image ~n table s] is [table(s)]. *)
-
 val stacked_rows : n:int -> int array -> int array -> int -> Ids_graph.Bitset.t -> rows
 (** [stacked_rows ~n sigma alpha v nb]: node [v]'s rows of the [2n x n]
     stack of an embedded adjacency matrix and the permutation matrix of

@@ -164,22 +164,23 @@ let fault_param t =
 
 (* --- response distortions ----------------------------------------------------- *)
 
-(* Shared by the three symmetry-style protocols, generic in the field
-   carrier (int for sym_dmam/dsym, Nat for sym_dam). *)
-
-let tweak_sums (type e) (f : e Field.t) ~root ~level ~(a : e array) (b : e array) =
-  match level with
-  | 0 -> b
-  | 1 ->
-    (* Force the root comparison a_r = b_r to pass; the root's own subtree
-       equation for b then fails. *)
-    let b = Array.copy b in
-    b.(root) <- a.(root);
-    b
-  | _ -> Array.map (fun x -> f.Field.add x f.Field.one) b
-
-let tweak_echo (type e) (f : e Field.t) ~level (index : e array) =
-  if level = 0 then index else Array.map (fun x -> f.Field.add x f.Field.one) index
+(* The sums and echo axes, shared by the three symmetry-style protocols and
+   generic in the field carrier (int for sym_dmam/dsym, Nat for sym_dam):
+   the distorted [(b, index)] of a consistent response. *)
+let distort (type e) (f : e Field.t) ~sums ~echo ~root ~(a : e array) (b : e array) (index : e array) =
+  let bump = Array.map (fun x -> f.Field.add x f.Field.one) in
+  let b =
+    match sums with
+    | 0 -> b
+    | 1 ->
+      (* Force the root comparison a_r = b_r to pass; the root's own subtree
+         equation for b then fails. *)
+      let b = Array.copy b in
+      b.(root) <- a.(root);
+      b
+    | _ -> bump b
+  in
+  (b, if echo = 0 then index else bump index)
 
 let check t want fn =
   if t.protocol <> want then
@@ -193,7 +194,7 @@ let sym_dmam_prover t =
   let rho_for g =
     let n = Graph.n g in
     match perm with
-    | 0 -> Sym_dmam.fallback_rho g
+    | 0 -> Sym_core.fallback n
     | 1 ->
       (* At seed 0 this is exactly the registry random-perm draw. *)
       Perm.random_nonidentity (Rng.create (Hashtbl.hash (Graph.encode g) + t.seed)) n
@@ -204,22 +205,15 @@ let sym_dmam_prover t =
     commit =
       (fun _params g ->
         let c = Sym_dmam.commit_with_rho g (rho_for g) in
-        if split = 0 then c
-        else begin
-          (* Claim a different root to vertex 0 than to everyone else. *)
-          let root = Array.copy c.Sym_dmam.root in
-          root.(0) <- (if root.(0) = 0 then 1 else 0);
-          { c with Sym_dmam.root }
-        end);
+        if split = 0 then c else Sym_dmam.split_root c);
     respond =
       (fun params g c challenges ->
-        let f = params.Sym_dmam.field in
         let r = Sym_dmam.respond_consistently params g c challenges in
-        let root = c.Sym_dmam.root.(0) in
-        { r with
-          Sym_dmam.b = tweak_sums f ~root ~level:sums ~a:r.Sym_dmam.a r.Sym_dmam.b;
-          index = tweak_echo f ~level:echo r.Sym_dmam.index
-        })
+        let b, index =
+          distort params.Sym_dmam.field ~sums ~echo ~root:c.Sym_dmam.root.(0) ~a:r.Sym_dmam.a r.Sym_dmam.b
+            r.Sym_dmam.index
+        in
+        { r with Sym_dmam.b; index })
   }
 
 let sym_dam_prover t =
@@ -236,7 +230,7 @@ let sym_dam_prover t =
             Sym_dam.search_table
               ~seed:((Hashtbl.hash (Graph.encode g) lxor 0x9e1) + t.seed)
               params g challenges
-          | 1 -> Sym_dam.fallback_table n
+          | 1 -> (Sym_core.fallback n :> int array)
           | 2 ->
             Perm.to_array
               (Perm.random_nonidentity
@@ -245,12 +239,11 @@ let sym_dam_prover t =
           | _ -> Array.init n Fun.id
         in
         let r = Sym_dam.respond_with_rho params g challenges table in
-        let f = params.Sym_dam.field in
-        let root = r.Sym_dam.root.(0) in
-        { r with
-          Sym_dam.b = tweak_sums f ~root ~level:sums ~a:r.Sym_dam.a r.Sym_dam.b;
-          index = tweak_echo f ~level:echo r.Sym_dam.index
-        })
+        let b, index =
+          distort params.Sym_dam.field ~sums ~echo ~root:r.Sym_dam.root.(0) ~a:r.Sym_dam.a r.Sym_dam.b
+            r.Sym_dam.index
+        in
+        { r with Sym_dam.b; index })
   }
 
 let dsym_prover t =
@@ -262,13 +255,9 @@ let dsym_prover t =
         let size = Graph.n inst.Dsym.graph in
         let sigma = Precomp.dsym_sigma ~n:inst.Dsym.n ~r:inst.Dsym.r in
         let sigma = if perm = 0 then sigma else Perm.compose sigma (Perm.transposition size 0 1) in
-        let root = root_ax in
-        let r = Dsym.respond_with ~root ~sigma params inst challenges in
-        let f = params.Dsym.field in
-        { r with
-          Dsym.b = tweak_sums f ~root ~level:sums ~a:r.Dsym.a r.Dsym.b;
-          index = tweak_echo f ~level:echo r.Dsym.index
-        })
+        let r = Dsym.respond_with ~root:root_ax ~sigma params inst challenges in
+        let b, index = distort params.Dsym.field ~sums ~echo ~root:root_ax ~a:r.Dsym.a r.Dsym.b r.Dsym.index in
+        { r with Dsym.b; index })
   }
 
 let gni_prover t =

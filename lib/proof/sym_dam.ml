@@ -1,7 +1,5 @@
 module Graph = Ids_graph.Graph
-module Bitset = Ids_graph.Bitset
 module Perm = Ids_graph.Perm
-module Iso = Ids_graph.Iso
 module Spanning_tree = Ids_graph.Spanning_tree
 module Network = Ids_network.Network
 module Fault = Ids_network.Fault
@@ -34,47 +32,24 @@ type response = {
 
 type prover = { name : string; respond : params -> Graph.t -> Nat.t array -> response }
 
-let const n v = Array.make n v
-
-(* Consistent play for a given mapping: root moved by [rho], echo of the
-   root's challenge, true subtree sums for both matrices. *)
-let respond_with_rho params g challenges rho_table =
+let respond_with_rho params g challenges rho =
   let n = Graph.n g in
-  let f = params.field in
-  let rec moved v = if v >= n then 0 else if rho_table.(v) <> v then v else moved (v + 1) in
-  let root = moved 0 in
-  let tree = Precomp.tree g root in
-  let i = challenges.(root) in
-  (* Both sums evaluate every row at the same index: one power table
-     replaces a modular exponentiation per row term. *)
-  let pows = Linear.powers f i ((n * n) + n) in
-  let term_a v = Linear.row_hash_pow f ~powers:pows ~n ~row:v (Graph.closed_neighborhood g v) in
-  let term_b v =
-    let image = Bitset.create n in
-    Bitset.iter (fun u -> Bitset.add image rho_table.(u)) (Graph.closed_neighborhood g v);
-    Linear.row_hash_pow f ~powers:pows ~n ~row:rho_table.(v) image
-  in
-  { rho = const n rho_table;
-    index = const n i;
-    root = const n root;
+  let tree = Precomp.tree g (Sym_core.moved_root rho) in
+  let index = challenges.(tree.Spanning_tree.root) in
+  let a, b = Sym_core.sums params.field g tree ~index rho in
+  { rho = Array.make n rho;
+    index = Array.make n index;
+    root = Array.make n tree.Spanning_tree.root;
     parent = Array.copy tree.Spanning_tree.parent;
     dist = Array.copy tree.Spanning_tree.dist;
-    a = Aggregation.honest_sums f tree ~term:term_a;
-    b = Aggregation.honest_sums f tree ~term:term_b
+    a;
+    b
   }
-
-let fallback_table n = Perm.to_array (Perm.transposition n 0 (min 1 (n - 1)))
 
 let honest =
   { name = "honest";
     respond =
-      (fun params g challenges ->
-        let table =
-          match Precomp.nontrivial_automorphism g with
-          | Some rho -> Array.init (Graph.n g) (Perm.apply rho)
-          | None -> fallback_table (Graph.n g)
-        in
-        respond_with_rho params g challenges table)
+      (fun params g challenges -> respond_with_rho params g challenges (Sym_core.honest_map g :> int array))
   }
 
 let run_body ?fault ?params ~seed g prover =
@@ -96,8 +71,10 @@ let run_body ?fault ?params ~seed g prover =
   let dist_u = Network.unicast net ~corrupt:id_corrupt ~bits:(Bits.id n) r.dist in
   let a_u = Network.unicast net ~corrupt:nat_corrupt ~bits:f.Field.bits r.a in
   let b_u = Network.unicast net ~corrupt:nat_corrupt ~bits:f.Field.bits r.b in
-  let field_ok x = Nat.compare x params.p < 0 in
-  let powers_of = Linear.powers_memo f ((n * n) + n) in
+  let check =
+    Sym_core.verifier f g ~in_field:(fun x -> Nat.compare x params.p < 0) ~challenges ~parent:parent_u
+      ~dist:dist_u ~a:a_u ~b:b_u
+  in
   let decide v =
     Network.broadcast_consistent_at net rho_bc v
     (* Nat values are normalized, so structural and numeric equality agree —
@@ -105,25 +82,10 @@ let run_body ?fault ?params ~seed g prover =
     && Network.broadcast_consistent_at ~equal:Nat.equal net index_bc v
     && Network.broadcast_consistent_at net root_bc v
     &&
-    let rho = rho_bc.(v) and i = index_bc.(v) and root = root_bc.(v) in
+    let rho = rho_bc.(v) in
     Array.length rho = n
     && Array.for_all (Aggregation.in_range n) rho
-    && Aggregation.in_range n root
-    && field_ok i && field_ok a_u.(v) && field_ok b_u.(v)
-    && Aggregation.tree_check g ~root ~parent:parent_u ~dist:dist_u v
-    &&
-    let neighborhood = Graph.closed_neighborhood g v in
-    let children = Aggregation.children g ~parent:parent_u v in
-    let pows = powers_of i in
-    let own_a = Linear.row_hash_pow f ~powers:pows ~n ~row:v neighborhood in
-    let image = Bitset.create n in
-    Bitset.iter (fun u -> Bitset.add image rho.(u)) neighborhood;
-    let own_b = Linear.row_hash_pow f ~powers:pows ~n ~row:rho.(v) image in
-    Aggregation.subtree_equation f ~own:own_a ~claimed:a_u ~children v
-    && Aggregation.subtree_equation f ~own:own_b ~claimed:b_u ~children v
-    &&
-    if v = root then f.Field.equal a_u.(v) b_u.(v) && rho.(v) <> v && Nat.equal i challenges.(v)
-    else true
+    && check ~map:rho ~index:index_bc.(v) ~root:root_bc.(v) v
   in
   let accepted = Network.decide net decide in
   Outcome.of_cost ~accepted ~prover:prover.name (Network.cost net)
@@ -133,45 +95,18 @@ let run ?fault ?params ~seed g prover =
 
 (* --- adversaries ------------------------------------------------------------ *)
 
-let collides params g table pows =
-  let f = params.field in
-  let n = Graph.n g in
-  let ha = Linear.graph_hash_pow f ~powers:pows g in
-  let hb =
-    let acc = ref f.Field.zero in
-    for v = 0 to n - 1 do
-      let image = Bitset.create n in
-      Bitset.iter (fun u -> Bitset.add image table.(u)) (Graph.closed_neighborhood g v);
-      acc := f.Field.add !acc (Linear.row_hash_pow f ~powers:pows ~n ~row:table.(v) image)
-    done;
-    !acc
-  in
-  f.Field.equal ha hb
-
 let search_table ?(extra = 20) ~seed params g challenges =
   let n = Graph.n g in
-  let rng = Rng.create seed in
-  let candidates =
-    List.concat
-      [ List.concat_map
-          (fun u ->
-            List.filter_map
-              (fun w -> if u < w then Some (Perm.to_array (Perm.transposition n u w)) else None)
-              (List.init n Fun.id))
-          (List.init n Fun.id);
-        List.init extra (fun _ -> Perm.to_array (Perm.random_nonidentity rng n))
-      ]
-  in
   (* The root the consistent strategy will use is the first vertex the
      mapping moves, so test the collision under that root's challenge.
      At most n distinct roots arise over all candidates, so memoize the
      power tables by challenge index. *)
   let powers_of = Linear.powers_memo params.field ((n * n) + n) in
   let winning table =
-    let rec moved v = if v >= n then 0 else if table.(v) <> v then v else moved (v + 1) in
-    collides params g table (powers_of challenges.(moved 0))
+    Sym_core.collides params.field g table (powers_of challenges.(Sym_core.moved_root table))
   in
-  match List.find_opt winning candidates with Some t -> t | None -> fallback_table n
+  let tables = List.map (fun rho -> (rho : Perm.t :> int array)) (Sym_core.candidates ~extra ~seed n) in
+  Option.value (List.find_opt winning tables) ~default:(Sym_core.fallback n :> int array)
 
 let adversary_search =
   { name = "adversary:search";

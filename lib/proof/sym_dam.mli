@@ -17,11 +17,12 @@
       ([O(n log n)] bits);
     + {b Merlin} — broadcast [(rho, i, r)]; unicast [(t_v, d_v, a_v, b_v)].
 
-    Verification is Protocol 1's, with the [b]-row computed from the
-    broadcast table: node [v] checks its copy of
-    [h_i(\[rho(v), rho(N(v))\])]. As in the paper (Theorem 3.5's proof),
-    [rho] need not be validated as a permutation: Lemma 3.1's argument
-    covers arbitrary non-identity mappings. *)
+    Verification is Protocol 1's ({!Sym_core.verifier}), with the [b]-row
+    computed from the broadcast table once its length and range check out:
+    node [v] checks its copy of [h_i(\[rho(v), rho(N(v))\])]. As in the
+    paper (Theorem 3.5's proof), [rho] need not be validated as a
+    permutation: Lemma 3.1's argument covers arbitrary non-identity
+    mappings. *)
 
 type params = { p : Ids_bignum.Nat.t; field : Ids_bignum.Nat.t Ids_hash.Field.t }
 
@@ -53,13 +54,9 @@ val honest : prover
 
 val respond_with_rho :
   params -> Ids_graph.Graph.t -> Ids_bignum.Nat.t array -> int array -> response
-(** Consistent play for a given mapping table: root at the first vertex the
-    table moves (vertex 0 if it moves none), echo of that root's challenge,
-    true subtree sums for both matrices. *)
-
-val fallback_table : int -> int array
-(** The transposition [(0 1)] as a table — the honest prover's losing but
-    well-formed move on asymmetric graphs. *)
+(** Consistent play for a given mapping table: root at
+    {!Sym_core.moved_root}, echo of that root's challenge, true subtree
+    sums for both matrices ({!Sym_core.sums}). *)
 
 val search_table :
   ?extra:int ->
@@ -69,9 +66,10 @@ val search_table :
   Ids_bignum.Nat.t array ->
   int array
 (** The challenge-aware collision search behind {!adversary_search}: scan
-    every transposition plus [extra] (default 20) seeded random non-identity
-    permutations for a table colliding under the would-be root's revealed
-    challenge; fall back to {!fallback_table} when none collides. *)
+    {!Sym_core.candidates} (every transposition plus [extra], default 20,
+    seeded random non-identity permutations) for a table colliding under
+    the would-be root's revealed challenge; fall back to
+    {!Sym_core.fallback} when none collides. *)
 
 val run :
   ?fault:Ids_network.Fault.spec -> ?params:params -> seed:int -> Ids_graph.Graph.t -> prover -> Outcome.t

@@ -1,7 +1,6 @@
 module Graph = Ids_graph.Graph
 module Bitset = Ids_graph.Bitset
 module Perm = Ids_graph.Perm
-module Iso = Ids_graph.Iso
 module Spanning_tree = Ids_graph.Spanning_tree
 module Network = Ids_network.Network
 module Fault = Ids_network.Fault
@@ -16,7 +15,7 @@ let params_for ~seed g =
   let n = max 2 (Graph.n g) in
   let rng = Rng.create (seed lxor 0x5f3b) in
   let p = Ids_bignum.Prime.random_prime_in_int rng (10 * n * n * n) (100 * n * n * n) in
-  { p; field = Field.int_field p }
+  { p; field = Field.native_field p }
 
 type commitment = { root : int array; rho : int array; parent : int array; dist : int array }
 
@@ -28,59 +27,30 @@ type prover = {
   respond : params -> Graph.t -> commitment -> int array -> response;
 }
 
-let const n v = Array.make n v
-
-(* A spanning tree rooted at a vertex moved by [rho], as the honest prover
-   builds it. *)
-let tree_for_rho g rho =
-  let n = Graph.n g in
-  let rec moved v = if v >= n then 0 else if Perm.apply rho v <> v then v else moved (v + 1) in
-  Precomp.tree g (moved 0)
-
 let commit_with_rho g rho =
   let n = Graph.n g in
-  let tree = tree_for_rho g rho in
-  { root = const n tree.Spanning_tree.root;
-    rho = Array.init n (Perm.apply rho);
+  let tree = Precomp.tree g (Sym_core.moved_root (rho : Perm.t :> int array)) in
+  { root = Array.make n tree.Spanning_tree.root;
+    rho = Perm.to_array rho;
     parent = Array.copy tree.Spanning_tree.parent;
     dist = Array.copy tree.Spanning_tree.dist
   }
 
-(* Consistent second-round play for whatever [rho] was committed: echo the
-   root's challenge and send the true subtree sums for both matrices. *)
-let respond_consistently params g (c : commitment) challenges =
-  let n = Graph.n g in
-  let f = params.field in
-  let root = c.root.(0) in
-  let i = challenges.(root) in
-  let tree =
-    { Spanning_tree.root; parent = Array.copy c.parent; dist = Array.copy c.dist }
-  in
-  (* One power table for the shared index replaces a modular exponentiation
-     per row term in both sums. *)
-  let pows = Linear.powers f i ((n * n) + n) in
-  let term_a v = Linear.row_hash_pow f ~powers:pows ~n ~row:v (Graph.closed_neighborhood g v) in
-  let rho_of v = c.rho.(v) in
-  let term_b v =
-    let image = Bitset.create n in
-    Bitset.iter (fun u -> Bitset.add image (rho_of u)) (Graph.closed_neighborhood g v);
-    Linear.row_hash_pow f ~powers:pows ~n ~row:(rho_of v) image
-  in
-  { index = const n i;
-    a = Aggregation.honest_sums f tree ~term:term_a;
-    b = Aggregation.honest_sums f tree ~term:term_b
-  }
+let split_root c =
+  let root = Array.copy c.root in
+  root.(0) <- (if root.(0) = 0 then 1 else 0);
+  { c with root }
 
-let fallback_rho g =
-  (* A losing but well-formed move for provers with no winning strategy. *)
-  Perm.transposition (Graph.n g) 0 (min 1 (Graph.n g - 1))
+let respond_consistently params g (c : commitment) challenges =
+  let root = c.root.(0) in
+  let index = challenges.(root) in
+  let tree = { Spanning_tree.root; parent = c.parent; dist = c.dist } in
+  let a, b = Sym_core.sums params.field g tree ~index c.rho in
+  { index = Array.make (Graph.n g) index; a; b }
 
 let honest =
   { name = "honest";
-    commit =
-      (fun _params g ->
-        let rho = Option.value (Precomp.nontrivial_automorphism g) ~default:(fallback_rho g) in
-        commit_with_rho g rho);
+    commit = (fun _params g -> commit_with_rho g (Sym_core.honest_map g));
     respond = respond_consistently
   }
 
@@ -106,31 +76,16 @@ let run_body ?fault ?params ~seed g prover =
   let a_u = Network.unicast net ~corrupt:field_corrupt ~bits:f.Field.bits r.a in
   let b_u = Network.unicast net ~corrupt:field_corrupt ~bits:f.Field.bits r.b in
   (* Verification. *)
-  let field_ok x = Aggregation.in_range params.p x in
-  let powers_of = Linear.powers_memo f ((n * n) + n) in
+  let check =
+    Sym_core.verifier f g ~in_field:(Aggregation.in_range params.p) ~challenges ~parent:parent_u ~dist:dist_u
+      ~a:a_u ~b:b_u
+  in
   let decide v =
     Network.broadcast_consistent_at net root_bc v
     && Network.broadcast_consistent_at net index_bc v
-    &&
-    let root = root_bc.(v) and i = index_bc.(v) in
-    Aggregation.in_range n root && field_ok i && field_ok a_u.(v) && field_ok b_u.(v)
-    && Aggregation.tree_check g ~root ~parent:parent_u ~dist:dist_u v
-    &&
     (* Every rho value this node relies on must name a vertex. *)
-    let neighborhood = Graph.closed_neighborhood g v in
-    Bitset.fold (fun u acc -> acc && Aggregation.in_range n rho_u.(u)) neighborhood true
-    &&
-    let children = Aggregation.children g ~parent:parent_u v in
-    let pows = powers_of i in
-    let own_a = Linear.row_hash_pow f ~powers:pows ~n ~row:v neighborhood in
-    let image = Bitset.create n in
-    Bitset.iter (fun u -> Bitset.add image rho_u.(u)) neighborhood;
-    let own_b = Linear.row_hash_pow f ~powers:pows ~n ~row:rho_u.(v) image in
-    Aggregation.subtree_equation f ~own:own_a ~claimed:a_u ~children v
-    && Aggregation.subtree_equation f ~own:own_b ~claimed:b_u ~children v
-    &&
-    if v = root then f.Field.equal a_u.(v) b_u.(v) && rho_u.(v) <> v && i = challenges.(v)
-    else true
+    && Bitset.fold (fun u acc -> acc && Aggregation.in_range n rho_u.(u)) (Graph.closed_neighborhood g v) true
+    && check ~map:rho_u ~index:index_bc.(v) ~root:root_bc.(v) v
   in
   let accepted = Network.decide net decide in
   Outcome.of_cost ~accepted ~prover:prover.name (Network.cost net)
@@ -177,12 +132,8 @@ let adversary_split_broadcast =
     commit =
       (fun _params g ->
         let rng = Rng.create (Hashtbl.hash (Graph.encode g) lxor 0xabc) in
-        let c = commit_with_rho g (Perm.random_nonidentity rng (Graph.n g)) in
-        (* Claim a different root to vertex 0 than to everyone else. *)
-        let root = Array.copy c.root in
-        root.(0) <- (if root.(0) = 0 then 1 else 0);
-        { c with root })
-  ; respond = respond_consistently
+        split_root (commit_with_rho g (Perm.random_nonidentity rng (Graph.n g))));
+    respond = respond_consistently
   }
 
 (* --- analysis ---------------------------------------------------------------- *)
@@ -190,26 +141,15 @@ let adversary_split_broadcast =
 let acceptance_probability_exact params g rho =
   let f = params.field in
   let n = Graph.n g in
-  let m = (n * n) + n in
   let collisions = ref 0 in
   for i = 0 to params.p - 1 do
-    let powers = Linear.powers f i m in
-    let ha = Linear.graph_hash_pow f ~powers g in
-    let hb = Linear.permuted_graph_hash_pow f ~powers g rho in
-    if ha = hb then incr collisions
+    let powers = Linear.powers f i ((n * n) + n) in
+    if Sym_core.collides f g (rho : Perm.t :> int array) powers then incr collisions
   done;
   float_of_int !collisions /. float_of_int params.p
 
 let best_adversary_bound ?(sample = 20) ~seed params g =
-  let n = Graph.n g in
-  let rng = Rng.create seed in
-  let candidates =
-    List.concat
-      [ List.concat_map
-          (fun i -> List.filter_map (fun j -> if i < j then Some (Perm.transposition n i j) else None)
-              (List.init n Fun.id))
-          (List.init n Fun.id);
-        List.init sample (fun _ -> Perm.random_nonidentity rng n)
-      ]
-  in
-  List.fold_left (fun best rho -> Float.max best (acceptance_probability_exact params g rho)) 0. candidates
+  List.fold_left
+    (fun best rho -> Float.max best (acceptance_probability_exact params g rho))
+    0.
+    (Sym_core.candidates ~extra:sample ~seed (Graph.n g))

@@ -13,22 +13,21 @@
     Every value is [O(log n)] bits: the hash family is Theorem 3.2's with a
     prime [p in \[10 n^3, 100 n^3\]].
 
-    Verification (each node locally): broadcast consistency, the spanning
-    tree checks of the Korman–Kutten–Peleg labeling, and the two hash-sum
-    equations of Line 3. The root additionally checks [a_r = b_r],
+    Verification (each node locally): broadcast consistency, that every
+    [rho_u] it reads names a vertex, then {!Sym_core.verifier} — the
+    spanning tree checks of the Korman–Kutten–Peleg labeling, the two
+    hash-sum equations of Line 3, and at the root [a_r = b_r],
     [rho_r <> r], and that [i] really is its own challenge — the step that
     forces the prover to commit to [rho] {e before} learning the hash index.
-
-    Note on Line 3: the paper's text defines the [b]-row via the images of
-    the node's {e children}; as the proof of Lemma 3.3 makes clear, the row
-    of the permuted matrix [rho(A_G)] owned by [v] is
-    [\[rho(v), rho(N(v))\]], computable because [v] sees [rho_u] for every
-    neighbor [u]. We implement that (mathematically consistent) version. *)
+    The [b]-row of Line 3 is [\[rho(v), rho(N(v))\]]; see {!Sym_core} for
+    why this departs from the paper's wording. *)
 
 type params = { p : int; field : int Ids_hash.Field.t }
 
 val params_for : seed:int -> Ids_graph.Graph.t -> params
-(** A random prime in Theorem 3.2's interval [\[10 n^3, 100 n^3\]]. *)
+(** A random prime in Theorem 3.2's interval [\[10 n^3, 100 n^3\]], in
+    {!Ids_hash.Field.native_field} (the int62 field once [p >= 2^31], from
+    about [n = 280]). *)
 
 (** Prover-supplied values. Broadcast fields are per-node arrays too, so
     that adversaries can attempt inconsistent broadcasts (which the
@@ -56,7 +55,7 @@ type prover = {
 val honest : prover
 (** Finds a non-trivial automorphism by exact search and follows the
     protocol. On an asymmetric (or disconnected) graph it has no valid
-    strategy and plays a losing commitment. *)
+    strategy and plays a losing commitment ({!Sym_core.fallback}). *)
 
 (** {1 Strategy building blocks}
 
@@ -65,16 +64,16 @@ val honest : prover
 
 val commit_with_rho : Ids_graph.Graph.t -> Ids_graph.Perm.t -> commitment
 (** A well-formed commitment to the given permutation: a spanning tree
-    rooted at a vertex [rho] moves (vertex 0 if it moves none). *)
+    rooted at {!Sym_core.moved_root}. *)
+
+val split_root : commitment -> commitment
+(** Claim a different root to vertex 0 than to everyone else. *)
 
 val respond_consistently :
   params -> Ids_graph.Graph.t -> commitment -> int array -> response
 (** Consistent second-round play for whatever [rho] was committed: echo the
-    root's challenge and send the true subtree sums for both matrices. *)
-
-val fallback_rho : Ids_graph.Graph.t -> Ids_graph.Perm.t
-(** The honest prover's losing but well-formed move when the graph is
-    asymmetric: the transposition [(0 1)]. *)
+    root's challenge and send the true subtree sums for both matrices
+    ({!Sym_core.sums}). *)
 
 val run :
   ?fault:Ids_network.Fault.spec -> ?params:params -> seed:int -> Ids_graph.Graph.t -> prover -> Outcome.t
@@ -105,10 +104,11 @@ val adversary_split_broadcast : prover
 val acceptance_probability_exact : params -> Ids_graph.Graph.t -> Ids_graph.Perm.t -> float
 (** Exact probability (over the hash index) that the consistent prover
     committed to [rho] makes all nodes accept: the fraction of indices
-    [i in \[p\]] with [h_i(A_G) = h_i(rho(A_G))]. For an automorphism this is
-    1; otherwise at most [(n^2+n)/p]. *)
+    [i in \[p\]] with [h_i(A_G) = h_i(rho(A_G))] ({!Sym_core.collides}). For
+    an automorphism this is 1; otherwise at most [(n^2+n)/p]. *)
 
 val best_adversary_bound : ?sample:int -> seed:int -> params -> Ids_graph.Graph.t -> float
 (** Upper envelope of {!acceptance_probability_exact} over all transpositions
-    plus [sample] random permutations — an empirical stand-in for the
-    "for all provers" quantifier on NO instances. *)
+    plus [sample] random permutations ({!Sym_core.candidates}) — an
+    empirical stand-in for the "for all provers" quantifier on NO
+    instances. *)

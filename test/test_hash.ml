@@ -154,10 +154,17 @@ let test_powers_consistency () =
   for _ = 1 to 20 do
     let a = f_int.Field.random rng in
     let powers = Linear.powers f_int a ((8 * 8) + 8) in
-    Alcotest.(check int) "graph hash" (Linear.graph_hash f_int a g) (Linear.graph_hash_pow f_int ~powers g);
-    Alcotest.(check int) "permuted hash"
-      (Linear.permuted_graph_hash f_int a g rho)
-      (Linear.permuted_graph_hash_pow f_int ~powers g rho)
+    for v = 0 to 7 do
+      let nb = Graph.closed_neighborhood g v and image = Perm.apply_set rho (Graph.closed_neighborhood g v) in
+      Alcotest.(check int) "row hash" (Linear.row_hash f_int a ~n:8 ~row:v nb)
+        (Linear.row_hash_pow f_int ~powers ~n:8 ~row:v nb);
+      Alcotest.(check int) "permuted row hash"
+        (Linear.row_hash f_int a ~n:8 ~row:(Perm.apply rho v) image)
+        (Linear.row_hash_pow f_int ~powers ~n:8 ~row:(Perm.apply rho v) image)
+    done;
+    Alcotest.(check bool) "collision test"
+      (Linear.graph_hash f_int a g = Linear.permuted_graph_hash f_int a g rho)
+      (Ids_proof.Sym_core.collides f_int g (rho :> int array) powers)
   done
 
 (* Split power tables and the Montgomery row kernel against the pow_int

@@ -2,7 +2,7 @@ let () =
   Alcotest.run "ids"
     (Test_bignum.suite @ Test_graph.suite @ Test_network.suite @ Test_hash.suite
     @ Test_engine.suite @ Test_protocols.suite @ Test_faults.suite @ Test_lowerbound.suite
-    @ Test_extensions.suite @ Test_gs.suite
+    @ Test_extensions.suite @ Test_gs.suite @ Test_sym.suite
     @ Test_obs.suite
     @ Test_strategy.suite
     @ Test_features.suite @ Test_properties.suite @ Test_integration.suite @ Test_setup.suite
